@@ -4,7 +4,8 @@ Every improvement run emits CSV rows under a fixed header.  Rows depend only
 on the graph, the options, and the seed, so repeated runs are byte-identical;
 wall-clock timings are opt-in (--timing) because they would break that.
 Queries fan out across --workers processes, each query seeded with
-master_seed XOR query_index, so the worker count never changes the output.
+derive_seed(master_seed, "query", query_index), so the worker count never
+changes the output and no two (seed, index) pairs share a stream.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .generators import FAMILIES, PROB_MODELS, GenSpec, generate
 from .graph import load_graph, save_graph
 from .mrp import improve_mrp
 from .multi import AGGREGATES, MultiQuery, select_multi
+from .rng import derive_seed
 from .selection import improve_single_pair
 
 __all__ = ["CSV_HEADER", "METHODS", "RunConfig", "run_query", "main"]
@@ -272,7 +274,7 @@ def _worker_task(task):
     kind, cfg, idx, payload = task
     g = _WORKER_STATE["g"]
     overrides = _load_overrides(cfg.prob_overrides, g)
-    seed = cfg.seed ^ idx
+    seed = derive_seed(cfg.seed, "query", idx)
     if kind == "single":
         s_label, t_label = payload
         cand_triples = _load_candidates(cfg.candidates, g)

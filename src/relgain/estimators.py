@@ -413,7 +413,8 @@ def reliability_rss(g: UncertainGraph, s: int, t: int, samples: int, seed: int =
     Unbiased: every stratum is estimated without bias and weighted by its
     exact probability; strata whose nominal allotment rounds to zero still
     receive one sample, so reported samples_used can slightly exceed the
-    request.
+    request.  The value is clamped to [0, 1]: when every sampled world
+    connects s and t, the stratum-weighted sum can round above 1.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -424,7 +425,7 @@ def reliability_rss(g: UncertainGraph, s: int, t: int, samples: int, seed: int =
     value, var, used = _rss_scalar(
         _State.from_graph(g, s), t, samples, seed, (), branch_r, mc_threshold
     )
-    return ReliabilityEstimate(value, var, used, "rss")
+    return ReliabilityEstimate(min(1.0, max(0.0, value)), var, used, "rss")
 
 
 # ---------------------------------------------------------------------------

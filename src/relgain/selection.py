@@ -86,18 +86,22 @@ def build_batches(paths) -> list[PathBatch]:
 
 
 class _Workbench:
-    """Augmented graph, labeled paths, and a cached subgraph estimator."""
+    """Augmented graph, labeled paths, and a cached subgraph estimator.
+
+    `paths` are the top-l paths when the caller already has them; otherwise
+    they are searched on the augmented graph.
+    """
 
     def __init__(self, g: UncertainGraph, cands: CandidateSet, s: int, t: int,
-                 k: int, config: EstimatorConfig, l: int):
+                 k: int, config: EstimatorConfig, l: int, paths=None):
         if k < 1:
             raise ValueError("k must be at least 1")
         self.g = g
         self.cands = cands
-        self.s, self.t, self.config = s, t, config
+        self.s, self.t, self.k, self.config = s, t, k, config
         self.by_pair = {(e.u, e.v): e for e in cands.edges}
         self.aug = augment(g, cands)
-        self.paths = top_l_paths(self.aug, s, t, l)
+        self.paths = top_l_paths(self.aug, s, t, l) if paths is None else paths
         pair_eid = {}
         for i in range(self.aug.m):
             u, v = int(self.aug.src[i]), int(self.aug.dst[i])
@@ -197,7 +201,11 @@ def select_be(g: UncertainGraph, cands: CandidateSet, s: int, t: int, k: int,
     the most probable path; when none fit, leftover budget is spent on
     individual candidates and the result is flagged "fill".
     """
-    bench = _Workbench(g, cands, s, t, k, config, l)
+    return _batch_greedy(_Workbench(g, cands, s, t, k, config, l))
+
+
+def _batch_greedy(bench: _Workbench) -> SelectionResult:
+    cands, k = bench.cands, bench.k
     flags: list[str] = []
     if k >= len(cands.edges) and cands.edges:
         # whole set fits, no search needed
@@ -251,7 +259,11 @@ def select_ip(g: UncertainGraph, cands: CandidateSet, s: int, t: int, k: int,
     remaining budget and add the one with the largest subgraph reliability
     gain (ties: fewer new edges, lexicographic label, node sequence).
     """
-    bench = _Workbench(g, cands, s, t, k, config, l)
+    return _path_greedy(_Workbench(g, cands, s, t, k, config, l))
+
+
+def _path_greedy(bench: _Workbench) -> SelectionResult:
+    cands, k = bench.cands, bench.k
     flags: list[str] = []
     if k >= len(cands.edges) and cands.edges:
         chosen = list(cands.edges)
@@ -333,7 +345,7 @@ def select_exact(g: UncertainGraph, cands: CandidateSet, s: int, t: int, k: int,
 # end-to-end single-pair pipeline
 # ---------------------------------------------------------------------------
 
-_SELECTORS = {"be": select_be, "ip": select_ip, "exact": select_exact}
+_GREEDY = {"be": _batch_greedy, "ip": _path_greedy}
 
 
 def _as_candidate_set(candidates) -> CandidateSet:
@@ -352,15 +364,18 @@ def improve_single_pair(g: UncertainGraph, s: int, t: int, k: int,
     """Eliminate candidates, prune them to the top paths, then select k edges.
 
     `candidates` overrides elimination with an explicit CandidateSet or
-    iterable of (u, v, prob) triples; path pruning still applies.
+    iterable of (u, v, prob) triples; path pruning still applies.  The top
+    paths are searched once: pruning drops only candidates that no top path
+    uses, so the paths found before pruning feed the greedy selector.
     """
-    if method not in _SELECTORS:
+    if method not in _GREEDY and method != "exact":
         raise ValueError(f"unknown selection method {method!r}")
     if candidates is None:
         cands = eliminate(g, s, t, r=r, h=h, zeta=zeta,
                           prob_overrides=prob_overrides, config=config)
     else:
         cands = _as_candidate_set(candidates)
+    paths = None
     if cands.edges:
         paths = top_l_paths(augment(g, cands), s, t, l)
         pruned = prune_by_paths(cands, paths)
@@ -368,4 +383,4 @@ def improve_single_pair(g: UncertainGraph, s: int, t: int, k: int,
             cands = pruned
     if method == "exact":
         return select_exact(g, cands, s, t, k, config)
-    return _SELECTORS[method](g, cands, s, t, k, config, l)
+    return _GREEDY[method](_Workbench(g, cands, s, t, k, config, l, paths))

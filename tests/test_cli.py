@@ -196,6 +196,26 @@ class TestWorkersAndDeterminism:
         assert outs[0] == outs[1] == outs[2]
         assert outs[0].decode().count("\n") == 7  # header + 6 queries
 
+    def test_query_seeds_do_not_collide_across_master_seeds(self, tmp_path, monkeypatch):
+        # master seed 0 with query 1 must not reuse master seed 1 with query 0
+        graph = small_world_file(tmp_path, n=20)
+        qf = tmp_path / "pair.txt"
+        qf.write_text("0 10\n0 10\n")
+        seeds = []
+        real = cli.run_query
+
+        def spy(g, cfg, s, t, seed, *rest):
+            seeds.append(seed)
+            return real(g, cfg, s, t, seed, *rest)
+
+        monkeypatch.setattr(cli, "run_query", spy)
+        for master in ("0", "1"):
+            rc = main(["improve", "--graph", graph, "--method", "be", "--k", "1",
+                       "--r", "4", "--samples", "100", "--queries", str(qf),
+                       "--seed", master, "--output", str(tmp_path / "out.csv")])
+            assert rc == 0
+        assert len(seeds) == 4 and len(set(seeds)) == 4
+
     def test_bench_rows_and_determinism(self, tmp_path):
         graph = small_world_file(tmp_path, n=20)
         qf = tmp_path / "q.txt"

@@ -180,6 +180,18 @@ class TestRss:
         b = reliability_rss(g, 0, 9, samples=3000, seed=5)
         assert a == b
 
+    def test_value_never_rounds_above_one(self):
+        # six near-certain s-a-t routes: every sampled world connects, and the
+        # stratum-weighted sum comes to 1.0000000000000002 before clamping
+        src, dst, prob = [], [], []
+        for a, p in enumerate([0.95, 0.93, 0.9, 0.9, 0.99, 0.93], start=1):
+            src += [0, a]
+            dst += [a, 7]
+            prob += [p, 0.999]
+        g = UncertainGraph(8, src, dst, prob)
+        for seed in range(5):
+            assert 0.0 <= reliability_rss(g, 0, 7, samples=20, seed=seed).value <= 1.0
+
     def test_variance_not_worse_than_mc(self):
         # paired comparison over repeated runs on moderate graphs
         rng = np.random.default_rng(33)

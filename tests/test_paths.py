@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import relgain.paths as paths
 from relgain.graph import UncertainGraph
 from relgain.paths import ReliablePath, augment, most_reliable_path, top_l_paths
 
@@ -132,6 +133,105 @@ class TestTopLPaths:
         a = top_l_paths(g, 0, 8, 12)
         b = top_l_paths(g, 0, 8, 12)
         assert [(p.nodes, p.prob) for p in a] == [(p.nodes, p.prob) for p in b]
+
+
+def unrestricted(g, s, t, l):
+    """The deviation search on the whole graph, with no corridor."""
+    idx = paths._ArcIndex.of_graph(g)
+    found = [idx.to_reliable(g, p) for _, p in paths._deviation_search(idx, s, t, l)]
+    found.sort(key=lambda p: (-p.prob, p.hops, p.nodes))
+    return found
+
+
+def as_records(found):
+    return [(p.nodes, p.prob, p.candidate_edges) for p in found]
+
+
+def tie_graph(rng, n, m, directed, probs):
+    """Random simple graph whose probabilities come from a small set."""
+    pairs = set()
+    src, dst = [], []
+    m = min(m, n * (n - 1) if directed else n * (n - 1) // 2)
+    while len(src) < m:
+        u, v = (int(x) for x in rng.integers(n, size=2))
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if u == v or key in pairs:
+            continue
+        pairs.add(key)
+        src.append(u)
+        dst.append(v)
+    return UncertainGraph(n, src, dst, rng.choice(probs, size=m), directed=directed)
+
+
+class TestCorridorSearch:
+    """top_l_paths confines its search to the s-t corridor; the answer must not change."""
+
+    PROBS = ([0.25, 0.5, 0.9, 1.0], [0.0, 0.5, 1.0], [0.5], [0.1, 0.3, 0.7],
+             [0.0, 0.25, 0.5, 0.9, 1.0])
+
+    def test_matches_unrestricted_search_on_tie_heavy_graphs(self):
+        rng = np.random.default_rng(20)
+        cases = 0
+        for trial in range(1200):
+            directed = trial % 2 == 0
+            n = int(rng.integers(2, 40))
+            g = tie_graph(rng, n, int(rng.integers(1, 3 * n + 1)), directed,
+                          self.PROBS[trial % len(self.PROBS)])
+            s, t = (int(x) for x in rng.integers(n, size=2))
+            l = int(rng.choice([1, 2, 3, 5, 8, 12]))
+            assert as_records(top_l_paths(g, s, t, l)) == as_records(unrestricted(g, s, t, l))
+            cases += 1
+        assert cases == 1200
+
+    def test_matches_unrestricted_search_on_larger_graphs(self):
+        # corridors well below the node count, with and without candidate edges
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            n = int(rng.integers(60, 150))
+            g = tie_graph(rng, n, int(rng.integers(n, 4 * n)), trial % 2 == 0,
+                          self.PROBS[trial % len(self.PROBS)])
+            cands = {}
+            for u, v in rng.integers(n, size=(6, 2)).tolist():
+                key = (u, v) if g.directed else (min(u, v), max(u, v))
+                if u != v and not g.has_edge(u, v):
+                    cands[key] = (u, v, 0.5)
+            aug = augment(g, cands.values())
+            for l in (1, 4, 30):
+                s, t = (int(x) for x in rng.integers(n, size=2))
+                assert as_records(top_l_paths(aug, s, t, l)) == as_records(unrestricted(aug, s, t, l))
+
+    def test_edge_cases(self):
+        g = UncertainGraph(5, [0, 1, 0, 3], [1, 2, 2, 4], [0.5, 0.5, 0.25, 1.0])
+        assert top_l_paths(g, 0, 4, 3) == []                   # t unreachable
+        assert top_l_paths(g, 2, 2, 3) == unrestricted(g, 2, 2, 3)
+        got = top_l_paths(g, 0, 2, 5)                           # fewer than l
+        assert [p.nodes for p in got] == [(0, 2), (0, 1, 2)]
+        assert as_records(top_l_paths(g, 0, 2, 1)) == as_records(unrestricted(g, 0, 2, 1))
+
+    def test_bound_uses_summed_weights_not_probabilities(self, monkeypatch):
+        # three s-t chains of 350, 360 and 380 hops at p=0.1: every product
+        # underflows to 0, so only the summed -log(p) weights tell them apart.
+        # The two lightest chains settle the top 2 without the third.
+        src, dst = [], []
+        n = 2
+        for hops in (350, 360, 380):
+            chain = [0] + list(range(n, n + hops - 1)) + [1]
+            n += hops - 1
+            src += chain[:-1]
+            dst += chain[1:]
+        g = UncertainGraph(n, src, dst, [0.1] * len(src))
+        sizes = []
+        restrict = paths._ArcIndex.restrict
+
+        def spy(self, nodes):
+            sizes.append(nodes.size)
+            return restrict(self, nodes)
+
+        monkeypatch.setattr(paths._ArcIndex, "restrict", spy)
+        got = top_l_paths(g, 0, 1, 2)
+        assert [p.prob for p in got] == [0.0, 0.0]
+        assert [p.hops for p in got] == [350, 360]
+        assert max(sizes) == 351 + 359
 
 
 class TestAugmentAndAnnotations:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import relgain.selection as selection
-from relgain.candidates import CandidateEdge, CandidateSet
+from relgain.candidates import CandidateEdge, CandidateSet, eliminate, prune_by_paths
 from relgain.errors import CapExceededError
 from relgain.estimators import EstimatorConfig
 from relgain.graph import UncertainGraph
@@ -255,3 +255,37 @@ class TestPipeline:
         res = improve_single_pair(g, 0, 3, k=2, method="exact",
                                   candidates=closed_form_candidates(0.7), config=CFG)
         assert res.new_reliability == pytest.approx(0.5425, abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["be", "ip"])
+    def test_one_path_search_per_query(self, method, monkeypatch):
+        # the paths found for pruning feed the selector; calling the selector
+        # on the pruned candidates searches again and must agree exactly
+        search = selection.top_l_paths
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "top_l_paths", counted)
+        rng = np.random.default_rng(44)
+        instances = [(walkthrough_graph(), 0, 8, dict(r=3, l=3, h=3)),
+                     (closed_form_graph(0.5), 0, 3,
+                      dict(l=30, candidates=closed_form_candidates(0.7)))]
+        for trial in range(8):
+            g = random_graph(rng, 12, 20, directed=trial % 2 == 0)
+            instances.append((g, 0, 11, dict(r=5, l=4, h=None)))
+        select = {"be": select_be, "ip": select_ip}[method]
+        cfg = EstimatorConfig(samples=500, seed=3)
+        for g, s, t, opts in instances:
+            calls.clear()
+            res = improve_single_pair(g, s, t, k=2, method=method, config=cfg, **opts)
+            assert len(calls) == 1
+            if "candidates" in opts:
+                cands = cand_set(opts["candidates"])
+            else:
+                cands = eliminate(g, s, t, r=opts["r"], h=opts["h"], config=cfg)
+            pruned = prune_by_paths(cands, search(augment(g, cands), s, t, opts["l"]))
+            if pruned.edges:
+                cands = pruned
+            assert res == select(g, cands, s, t, 2, cfg, opts["l"])
