@@ -17,7 +17,7 @@ from .candidates import CandidateEdge, CandidateSet
 from .errors import ConvergenceError
 from .estimators import EstimatorConfig, estimate
 from .graph import UncertainGraph
-from .selection import RoundRecord, SelectionResult
+from .selection import RoundRecord, SelectionResult, _finalize
 
 __all__ = [
     "EigenScores",
@@ -29,16 +29,6 @@ __all__ = [
     "eigen_scores",
     "select_eigen",
 ]
-
-
-def _finalize(g, s, t, method, chosen, base, trace, flags, config) -> SelectionResult:
-    if chosen:
-        new = estimate(g.with_edges([(e.u, e.v, e.prob) for e in chosen]),
-                       s, t, config).value
-    else:
-        new = base
-    return SelectionResult(method, tuple(chosen), base, new, new - base,
-                           tuple(trace), tuple(flags))
 
 
 def select_individual_topk(g: UncertainGraph, cands: CandidateSet, s: int, t: int,
@@ -64,7 +54,7 @@ def select_individual_topk(g: UncertainGraph, cands: CandidateSet, s: int, t: in
                          -gains[0][0] if gains else 0.0, 0.0,
                          tuple(((cands.edges[i].u, cands.edges[i].v), -ng)
                                for ng, i in gains))]
-    return _finalize(g, s, t, "topk", picked, base, trace, flags, config)
+    return _finalize(g, ((s, t),), "topk", picked, [base], trace, flags, config)
 
 
 def select_hill_climbing(g: UncertainGraph, cands: CandidateSet, s: int, t: int,
@@ -101,7 +91,7 @@ def select_hill_climbing(g: UncertainGraph, cands: CandidateSet, s: int, t: int,
         cur += gain
         trace.append(RoundRecord(len(trace) + 1, "hc", ((e.u, e.v),), gain, gain,
                                  tuple(((ev.u, ev.v), gv) for gv, _, ev in evals)))
-    return _finalize(g, s, t, "hc", chosen, base, trace, flags, config)
+    return _finalize(g, ((s, t),), "hc", chosen, [base], trace, flags, config)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +171,8 @@ def select_centrality(g: UncertainGraph, cands: CandidateSet, s: int, t: int,
     base = estimate(g, s, t, config).value
     trace = [RoundRecord(1, f"cent-{mode[:3]}", tuple((e.u, e.v) for e in picked),
                          0.0, 0.0, tuple((pair, -ns) for ns, pair, _ in scored))]
-    return _finalize(g, s, t, f"cent-{'deg' if mode == 'degree' else 'bet'}",
-                     picked, base, trace, flags, config)
+    return _finalize(g, ((s, t),), f"cent-{'deg' if mode == 'degree' else 'bet'}",
+                     picked, [base], trace, flags, config)
 
 
 # ---------------------------------------------------------------------------
@@ -280,4 +270,4 @@ def select_eigen(g: UncertainGraph, cands: CandidateSet, s: int, t: int, k: int,
         flags.append("pool-exhausted")
     trace = [RoundRecord(1, "eigen", tuple((e.u, e.v) for e in picked),
                          0.0, scores.lam, ())]
-    return _finalize(g, s, t, "eigen", picked, base, trace, flags, config)
+    return _finalize(g, ((s, t),), "eigen", picked, [base], trace, flags, config)

@@ -48,6 +48,14 @@ class CandidateSet:
         return {(e.u, e.v) for e in self.edges}
 
 
+def _as_candidate_set(candidates) -> CandidateSet:
+    """A CandidateSet as given, or one built from (u, v, prob) triples."""
+    if isinstance(candidates, CandidateSet):
+        return candidates
+    edges = tuple(CandidateEdge(int(u), int(v), float(p)) for u, v, p in candidates)
+    return CandidateSet(edges, (), ())
+
+
 def _top_pool(scores: np.ndarray, forced: int, r: int) -> tuple[int, ...]:
     # stable pick: score descending, node id ascending, forced node always in
     order = np.lexsort((np.arange(scores.size), -scores))

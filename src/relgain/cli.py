@@ -17,7 +17,7 @@ from multiprocessing import Pool
 
 from .baselines import (select_centrality, select_eigen, select_hill_climbing,
                         select_individual_topk)
-from .candidates import CandidateEdge, CandidateSet, eliminate
+from .candidates import _as_candidate_set, eliminate
 from .errors import CapExceededError, RelgainError
 from .estimators import EstimatorConfig, converged_sample_size, estimate
 from .generators import FAMILIES, PROB_MODELS, GenSpec, generate
@@ -101,29 +101,8 @@ def _parse_h(text: str):
     return value
 
 
-def _resolve(g, label: str) -> int:
-    return g.node_id(label)
-
-
-def _load_overrides(path: str | None, g) -> dict | None:
-    """Read 'u v prob' lines mapping node pairs to candidate probabilities."""
-    if path is None:
-        return None
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 'u v prob', got {line!r}")
-            out[(_resolve(g, parts[0]), _resolve(g, parts[1]))] = float(parts[2])
-    return out
-
-
-def _load_candidates(path: str | None, g) -> list | None:
-    """Read 'u v prob' lines as an explicit candidate edge list."""
+def _load_triples(path: str | None, g) -> list | None:
+    """Read 'u v prob' lines: explicit candidate edges or probability overrides."""
     if path is None:
         return None
     triples = []
@@ -135,8 +114,14 @@ def _load_candidates(path: str | None, g) -> list | None:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected 'u v prob', got {line!r}")
-            triples.append((_resolve(g, parts[0]), _resolve(g, parts[1]), float(parts[2])))
+            triples.append((g.node_id(parts[0]), g.node_id(parts[1]), float(parts[2])))
     return triples
+
+
+def _load_overrides(path: str | None, g) -> dict | None:
+    """Node pair -> candidate probability; a later line wins."""
+    triples = _load_triples(path, g)
+    return None if triples is None else {(u, v): p for u, v, p in triples}
 
 
 def _parse_pair_queries(path: str) -> list[tuple[str, str]]:
@@ -206,6 +191,13 @@ def _write_trace(path: str | None, result, labels) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _record(cfg: RunConfig, method: str, base, new, gain, time_ms, edges_added) -> dict:
+    """The fields of one CSV row: the run's settings and its outcome."""
+    return {"method": method, "k": cfg.k, "zeta": cfg.zeta, "r": cfg.r,
+            "l": cfg.l, "h": cfg.h, "base_rel": base, "new_rel": new, "gain": gain,
+            "time_ms": time_ms, "samples": cfg.samples, "edges_added": edges_added}
+
+
 def run_query(g, cfg: RunConfig, s: int, t: int, seed: int,
               cand_triples=None, overrides=None):
     """Run one improvement query; returns (record, SelectionResult)."""
@@ -220,9 +212,7 @@ def run_query(g, cfg: RunConfig, s: int, t: int, seed: int,
                                   candidates=cand_triples, config=config)
     else:
         if cand_triples is not None:
-            edges = tuple(CandidateEdge(int(u), int(v), float(p))
-                          for u, v, p in cand_triples)
-            cands = CandidateSet(edges, (), ())
+            cands = _as_candidate_set(cand_triples)
         else:
             cands = eliminate(g, s, t, r=cfg.r, h=cfg.h, zeta=cfg.zeta,
                               prob_overrides=overrides, config=config)
@@ -238,12 +228,8 @@ def run_query(g, cfg: RunConfig, s: int, t: int, seed: int,
             mode = "degree" if cfg.method == "cent-deg" else "betweenness"
             res = select_centrality(g, cands, s, t, cfg.k, mode, config)
     elapsed_ms = int((time.perf_counter() - started) * 1000) if cfg.timing else 0
-    rec = {"method": cfg.method, "k": cfg.k, "zeta": cfg.zeta, "r": cfg.r,
-           "l": cfg.l, "h": cfg.h, "base_rel": res.base_reliability,
-           "new_rel": res.new_reliability, "gain": res.gain,
-           "time_ms": elapsed_ms, "samples": cfg.samples,
-           "edges_added": len(res.chosen)}
-    return rec, res
+    return _record(cfg, cfg.method, res.base_reliability, res.new_reliability, res.gain,
+                   elapsed_ms, len(res.chosen)), res
 
 
 def _run_multi_query(g, cfg: RunConfig, sources, targets, seed, overrides=None):
@@ -254,12 +240,8 @@ def _run_multi_query(g, cfg: RunConfig, sources, targets, seed, overrides=None):
     res = select_multi(g, query, r=cfg.r, l=cfg.l, h=cfg.h, zeta=cfg.zeta,
                        prob_overrides=overrides, config=config)
     elapsed_ms = int((time.perf_counter() - started) * 1000) if cfg.timing else 0
-    rec = {"method": res.method, "k": cfg.k, "zeta": cfg.zeta, "r": cfg.r,
-           "l": cfg.l, "h": cfg.h, "base_rel": res.base_reliability,
-           "new_rel": res.new_reliability, "gain": res.gain,
-           "time_ms": elapsed_ms, "samples": cfg.samples,
-           "edges_added": len(res.chosen)}
-    return rec, res
+    return _record(cfg, res.method, res.base_reliability, res.new_reliability, res.gain,
+                   elapsed_ms, len(res.chosen)), res
 
 
 # worker processes keep the parsed graph in module state
@@ -277,13 +259,13 @@ def _worker_task(task):
     seed = derive_seed(cfg.seed, "query", idx)
     if kind == "single":
         s_label, t_label = payload
-        cand_triples = _load_candidates(cfg.candidates, g)
-        rec, _ = run_query(g, cfg, _resolve(g, s_label), _resolve(g, t_label),
+        cand_triples = _load_triples(cfg.candidates, g)
+        rec, _ = run_query(g, cfg, g.node_id(s_label), g.node_id(t_label),
                            seed, cand_triples, overrides)
     else:
         src_labels, tgt_labels = payload
-        sources = [_resolve(g, lab) for lab in src_labels]
-        targets = [_resolve(g, lab) for lab in tgt_labels]
+        sources = [g.node_id(lab) for lab in src_labels]
+        targets = [g.node_id(lab) for lab in tgt_labels]
         rec, _ = _run_multi_query(g, cfg, sources, targets, seed, overrides)
     return idx, rec
 
@@ -334,7 +316,7 @@ def _auto_samples(g, pairs, seed: int) -> int:
 
 def _cmd_estimate(args) -> int:
     g = load_graph(args.graph, _directedness(args))
-    s, t = _resolve(g, args.source), _resolve(g, args.target)
+    s, t = g.node_id(args.source), g.node_id(args.target)
     samples = args.samples
     if args.auto_samples:
         samples = _auto_samples(g, [(s, t)], args.seed)
@@ -344,11 +326,10 @@ def _cmd_estimate(args) -> int:
     print(f"R({args.source}, {args.target}) = {_g(est.value)} "
           f"method={est.method} samples={est.samples_used}")
     if args.output:
-        rec = {"method": est.method, "k": 0, "zeta": 0.0, "r": 0, "l": 0,
-               "h": None, "base_rel": est.value, "new_rel": est.value,
-               "gain": 0.0, "time_ms": 0, "samples": est.samples_used,
-               "edges_added": 0}
-        _emit_csv([_row(rec)], args.output)
+        cfg = RunConfig(args.graph, k=0, zeta=0.0, r=0, l=0, h=None,
+                        samples=est.samples_used)
+        _emit_csv([_row(_record(cfg, est.method, est.value, est.value, 0.0, 0, 0))],
+                  args.output)
     return 0
 
 
@@ -357,7 +338,7 @@ def _cmd_improve(args) -> int:
     if args.auto_samples:
         probe = _parse_pair_queries(args.queries)[0] if args.queries \
             else (args.source, args.target)
-        pair = (_resolve(g, probe[0]), _resolve(g, probe[1]))
+        pair = (g.node_id(probe[0]), g.node_id(probe[1]))
         args.samples = _auto_samples(g, [pair], args.seed)
         print(f"auto-samples: Z={args.samples}", file=sys.stderr)
     cfg = _cfg_from_args(args)
@@ -370,9 +351,9 @@ def _cmd_improve(args) -> int:
     else:
         if args.source is None or args.target is None:
             raise ValueError("need --source and --target (or --queries FILE)")
-        s, t = _resolve(g, args.source), _resolve(g, args.target)
+        s, t = g.node_id(args.source), g.node_id(args.target)
         overrides = _load_overrides(cfg.prob_overrides, g)
-        cand_triples = _load_candidates(cfg.candidates, g)
+        cand_triples = _load_triples(cfg.candidates, g)
         rec, res = run_query(g, cfg, s, t, cfg.seed, cand_triples, overrides)
         _emit_csv([_row(rec)], args.output)
         added = " ".join(f"{g.labels[e.u]}-{g.labels[e.v]}" for e in res.chosen)
@@ -396,8 +377,8 @@ def _cmd_multi(args) -> int:
             raise ValueError("need --sources and --targets (or --queries FILE)")
         src_labels = [tok for tok in args.sources.split(",") if tok]
         tgt_labels = [tok for tok in args.targets.split(",") if tok]
-        sources = [_resolve(g, lab) for lab in src_labels]
-        targets = [_resolve(g, lab) for lab in tgt_labels]
+        sources = [g.node_id(lab) for lab in src_labels]
+        targets = [g.node_id(lab) for lab in tgt_labels]
         overrides = _load_overrides(cfg.prob_overrides, g)
         rec, res = _run_multi_query(g, cfg, sources, targets, cfg.seed, overrides)
         _emit_csv([_row(rec)], args.output)
@@ -452,12 +433,8 @@ def _cmd_bench(args) -> int:
             tasks = [("single", cfg, idx, q) for idx, q in enumerate(queries)]
             recs = _fan_out(tasks, args.graph, _directedness(args), args.workers)
             mean = lambda key: sum(r[key] for r in recs) / len(recs)
-            rows.append(_row({
-                "method": method, "k": k, "zeta": args.zeta, "r": args.r,
-                "l": args.l, "h": args.h, "base_rel": mean("base_rel"),
-                "new_rel": mean("new_rel"), "gain": mean("gain"),
-                "time_ms": mean("time_ms"), "samples": args.samples,
-                "edges_added": mean("edges_added")}))
+            rows.append(_row(_record(cfg, method, mean("base_rel"), mean("new_rel"),
+                                     mean("gain"), mean("time_ms"), mean("edges_added"))))
     _emit_csv(rows, args.output)
     _log_peak_memory()
     return 0

@@ -19,7 +19,6 @@ ways.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import GraphFormatError
 from .rng import uniform_batch, world_stream
 
 __all__ = [
-    "ProbEdge",
     "UncertainGraph",
     "load_graph",
     "save_graph",
@@ -36,13 +34,6 @@ __all__ = [
     "reachable",
     "reached_set",
 ]
-
-
-@dataclass(frozen=True)
-class ProbEdge:
-    src: int
-    dst: int
-    prob: float
 
 
 class UncertainGraph:
@@ -57,9 +48,8 @@ class UncertainGraph:
         "labels",
         "candidate_mark",
         "_label_ids",
-        "_pair_set",
+        "_edge_ids",
         "_out_adj",
-        "_in_adj",
     )
 
     def __init__(
@@ -107,21 +97,14 @@ class UncertainGraph:
         if len(self.candidate_mark) != len(self.src):
             raise ValueError("candidate mark must align with edges")
         self._label_ids = None
-        self._pair_set = None
+        self._edge_ids = None
         self._out_adj = None
-        self._in_adj = None
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def m(self) -> int:
         return len(self.src)
-
-    def edge(self, eid: int) -> ProbEdge:
-        return ProbEdge(int(self.src[eid]), int(self.dst[eid]), float(self.prob[eid]))
-
-    def edges(self) -> list[ProbEdge]:
-        return [self.edge(i) for i in range(self.m)]
 
     def _pair_keys(self, src, dst) -> np.ndarray:
         if self.directed:
@@ -130,18 +113,19 @@ class UncertainGraph:
         hi = np.maximum(src, dst)
         return lo * self.n + hi
 
-    def pair_set(self) -> set:
-        """Set of edge keys for O(1) membership tests (orientation-free if undirected)."""
-        if self._pair_set is None:
-            self._pair_set = set(self._pair_keys(self.src, self.dst).tolist())
-        return self._pair_set
-
-    def has_edge(self, u: int, v: int) -> bool:
+    def edge_id(self, u: int, v: int) -> int | None:
+        """Index of the edge u->v (either orientation if undirected), None if absent."""
+        if self._edge_ids is None:
+            keys = self._pair_keys(self.src, self.dst).tolist()
+            self._edge_ids = dict(zip(keys, range(self.m)))
         if self.directed:
             key = u * self.n + v
         else:
             key = min(u, v) * self.n + max(u, v)
-        return key in self.pair_set()
+        return self._edge_ids.get(key)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return self.edge_id(u, v) is not None
 
     def node_id(self, label: str) -> int:
         if self._label_ids is None:
@@ -165,17 +149,6 @@ class UncertainGraph:
             self._out_adj = adj
         return self._out_adj
 
-    def in_adjacency(self) -> list[list[tuple[int, int]]]:
-        if self._in_adj is None:
-            if not self.directed:
-                self._in_adj = self.out_adjacency()
-            else:
-                adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-                for eid in range(self.m):
-                    adj[int(self.dst[eid])].append((int(self.src[eid]), eid))
-                self._in_adj = adj
-        return self._in_adj
-
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(asrc, adst, edge_id) with both orientations emitted for undirected graphs."""
         if self.directed:
@@ -184,12 +157,6 @@ class UncertainGraph:
         adst = np.concatenate([self.dst, self.src])
         aeid = np.concatenate([np.arange(self.m, dtype=np.int64)] * 2)
         return asrc, adst, aeid
-
-    def skeleton_arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orientation-free arc list (both directions regardless of directedness)."""
-        asrc = np.concatenate([self.src, self.dst])
-        adst = np.concatenate([self.dst, self.src])
-        return asrc, adst
 
     # -- derived graphs -----------------------------------------------------
 

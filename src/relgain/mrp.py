@@ -14,19 +14,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .candidates import CandidateEdge, CandidateSet
+from .candidates import CandidateEdge, _as_candidate_set
 from .graph import UncertainGraph
 from .selection import RoundRecord, SelectionResult
 
 __all__ = ["build_layered", "improve_mrp", "DEFAULT_CANDIDATE_NODE_LIMIT"]
 
 DEFAULT_CANDIDATE_NODE_LIMIT = 2000
-
-
-def _normalize(candidates) -> tuple[CandidateEdge, ...]:
-    if isinstance(candidates, CandidateSet):
-        return candidates.edges
-    return tuple(CandidateEdge(int(u), int(v), float(p)) for u, v, p in candidates)
 
 
 def _all_missing(g: UncertainGraph, zeta: float) -> tuple[CandidateEdge, ...]:
@@ -54,7 +48,7 @@ def build_layered(g: UncertainGraph, candidates, k: int):
         rows.append(asrc + layer * n)
         cols.append(adst + layer * n)
         data.append(base_w)
-    cand = _normalize(candidates)
+    cand = _as_candidate_set(candidates).edges
     if cand and k > 0:
         cu = np.array([e.u for e in cand], dtype=np.int64)
         cv = np.array([e.v for e in cand], dtype=np.int64)
@@ -87,7 +81,7 @@ def improve_mrp(g: UncertainGraph, s: int, t: int, k: int, candidates=None,
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    cand = _all_missing(g, zeta) if candidates is None else _normalize(candidates)
+    cand = _all_missing(g, zeta) if candidates is None else _as_candidate_set(candidates).edges
     if s == t:
         return SelectionResult("mrp", (), 1.0, 1.0, 0.0, (), ())
     mat, n = build_layered(g, cand, k)

@@ -2,7 +2,8 @@
 
 Three aggregates over the |S| x |T| pair reliabilities are supported:
 
-  avg  batch greedy over one pooled candidate set; rounds are scored by the
+  avg  the batch greedy of :mod:`relgain.selection` over one pooled
+       candidate set and every pair's top paths; rounds are scored by the
        summed subgraph reliability across pairs, and the reported aggregate
        is the mean pair reliability on the full graph.
   min  repeatedly strengthens whichever pair is currently weakest, spending
@@ -17,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .candidates import CandidateEdge, CandidateSet, eliminate_multi, prune_by_paths
-from .estimators import EstimatorConfig, estimate, reach_counts
+from .candidates import CandidateEdge, eliminate_multi, prune_by_paths
+# estimate is not called here; benchmark/layers.py wraps multi.estimate
+from .estimators import EstimatorConfig, estimate, reach_counts  # noqa: F401
 from .graph import UncertainGraph
 from .paths import augment, top_l_paths
-from .rng import derive_seed
-from .selection import RoundRecord, SelectionResult, build_batches, improve_single_pair
+from .selection import (RoundRecord, SelectionResult, _batch_greedy, _Bench,
+                        _pair_reliabilities, improve_single_pair)
 
 __all__ = [
     "AGGREGATES",
@@ -74,10 +74,6 @@ class MultiQuery:
         return max(1, round(self.k1_ratio * self.k))
 
 
-def _pair_reliabilities(g: UncertainGraph, pairs, config: EstimatorConfig) -> list[float]:
-    return [1.0 if s == t else estimate(g, s, t, config).value for s, t in pairs]
-
-
 def _is_single(query: MultiQuery) -> bool:
     return len(query.sources) == 1 and len(query.targets) == 1
 
@@ -93,90 +89,6 @@ def _single_pair(g, query, r, l, h, zeta, prob_overrides, config):
 # ---------------------------------------------------------------------------
 
 
-class _PooledBench:
-    """Pooled top paths for every pair plus a cached per-pair subgraph estimator."""
-
-    def __init__(self, g: UncertainGraph, cands: CandidateSet, pairs,
-                 config: EstimatorConfig, l: int):
-        self.g, self.cands, self.config = g, cands, config
-        self.pairs = tuple(pairs)
-        self.real = [(s, t) for s, t in self.pairs if s != t]
-        self.const = len(self.pairs) - len(self.real)
-        self.by_pair = {(e.u, e.v): e for e in cands.edges}
-        self.aug = augment(g, cands)
-        pair_eid = {}
-        for i in range(self.aug.m):
-            u, v = int(self.aug.src[i]), int(self.aug.dst[i])
-            pair_eid[(u, v)] = i
-            if not self.aug.directed:
-                pair_eid[(v, u)] = i
-        self.cand_eid = {(e.u, e.v): pair_eid[(e.u, e.v)] for e in cands.edges}
-        # one entry per distinct node sequence; owners records which pairs use it
-        self.paths = []
-        self.path_eids = []
-        self.path_owners = []
-        seen: dict[tuple, int] = {}
-        for j, (s, t) in enumerate(self.real):
-            for p in top_l_paths(self.aug, s, t, l):
-                idx = seen.get(p.nodes)
-                if idx is None:
-                    seen[p.nodes] = len(self.paths)
-                    self.paths.append(p)
-                    self.path_eids.append(frozenset(
-                        pair_eid[(a, b)] for a, b in zip(p.nodes, p.nodes[1:])))
-                    self.path_owners.append({j})
-                else:
-                    self.path_owners[idx].add(j)
-        self._cache: dict[tuple, float] = {}
-
-    def objective(self, selected: frozenset, extra_eid: int | None = None) -> float:
-        """Sum over pairs of the reliability on that pair's active-path subgraph."""
-        total = float(self.const)
-        for j, (s, t) in enumerate(self.real):
-            eids = set() if extra_eid is None else {extra_eid}
-            for path, peids, owners in zip(self.paths, self.path_eids, self.path_owners):
-                if j in owners and path.candidate_edges <= selected:
-                    eids.update(peids)
-            total += self._sub(j, s, t, frozenset(eids))
-        return total
-
-    def _sub(self, j: int, s: int, t: int, eids: frozenset) -> float:
-        key = (j, eids)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        eid_list = sorted(eids)
-        nodes = {s, t}
-        for eid in eid_list:
-            nodes.add(int(self.aug.src[eid]))
-            nodes.add(int(self.aug.dst[eid]))
-        order = sorted(nodes)
-        remap = {u: i for i, u in enumerate(order)}
-        sub = UncertainGraph(
-            len(order),
-            [remap[int(self.aug.src[e])] for e in eid_list],
-            [remap[int(self.aug.dst[e])] for e in eid_list],
-            [float(self.aug.prob[e]) for e in eid_list],
-            directed=self.aug.directed,
-        )
-        cfg = self.config.with_seed(derive_seed(self.config.seed, "subgraph", j, *eid_list))
-        val = estimate(sub, remap[s], remap[t], cfg).value
-        self._cache[key] = val
-        return val
-
-    def finalize(self, chosen, trace, flags) -> SelectionResult:
-        base_vals = _pair_reliabilities(self.g, self.pairs, self.config)
-        if chosen:
-            improved = self.g.with_edges([(e.u, e.v, e.prob) for e in chosen])
-            new_vals = _pair_reliabilities(improved, self.pairs, self.config)
-        else:
-            new_vals = base_vals
-        base = float(np.mean(base_vals))
-        new = float(np.mean(new_vals))
-        return SelectionResult("avg", tuple(chosen), base, new, new - base,
-                               tuple(trace), tuple(flags))
-
-
 def select_multi_avg(g: UncertainGraph, query: MultiQuery, r: int = 100,
                      l: int = 30, h: int | None = 3, zeta: float = 0.5,
                      prob_overrides: dict | None = None,
@@ -186,75 +98,18 @@ def select_multi_avg(g: UncertainGraph, query: MultiQuery, r: int = 100,
         return _single_pair(g, query, r, l, h, zeta, prob_overrides, config)
     cands = eliminate_multi(g, query.sources, query.targets, r=r, h=h,
                             zeta=zeta, prob_overrides=prob_overrides, config=config)
+    real = [(s, t) for s, t in query.pairs if s != t]
     if cands.edges:
         aug = augment(g, cands)
-        pooled = []
-        for s, t in query.pairs:
-            if s != t:
-                pooled.extend(top_l_paths(aug, s, t, l))
+        pooled = [p for s, t in real for p in top_l_paths(aug, s, t, l)]
         pruned = prune_by_paths(cands, pooled)
         if pruned.edges:
             cands = pruned
-    bench = _PooledBench(g, cands, query.pairs, config, l)
-    k = query.k
-    if k >= len(cands.edges) and cands.edges:
-        return bench.finalize(list(cands.edges), [], ["k-covers-all"])
-    if not cands.edges:
-        return bench.finalize([], [], ["no-candidates"])
-
-    batches = [b for b in build_batches(bench.paths) if b.label]
-    selected: set = set()
-    chosen: list[CandidateEdge] = []
-    trace: list[RoundRecord] = []
-    flags: list[str] = []
-    while len(chosen) < k:
-        remaining = k - len(chosen)
-        cur = bench.objective(frozenset(selected))
-        fitting = []
-        for b in batches:
-            need = b.label - selected
-            if 0 < len(need) <= remaining:
-                fitting.append((b, need))
-        if not fitting:
-            break
-        evals = []
-        for b, need in fitting:
-            gain = bench.objective(frozenset(selected | b.label)) - cur
-            evals.append((gain / len(need), gain, len(need), b, need))
-        evals.sort(key=lambda e: (-e[0], -e[1], e[2], e[3].sort_key()))
-        score, gain, _, best, need = evals[0]
-        note = "batch"
-        if gain <= 0.0:
-            best, need = min(fitting, key=lambda bn: (-bn[0].best_prob, bn[0].sort_key()))
-            gain, score, note = 0.0, 0.0, "stall"
-        picked = tuple(sorted(need))
-        for pair in picked:
-            chosen.append(bench.by_pair[pair])
-        selected |= best.label
-        batches = [b for b in batches if not b.label <= selected]
-        trace.append(RoundRecord(len(trace) + 1, note, picked, gain, score,
-                                 tuple((b.sort_key(), gv, sv) for sv, gv, _, b, _ in evals)))
-    if len(chosen) < k:
-        if "fill" not in flags:
-            flags.append("fill")
-        while len(chosen) < k:
-            cur = bench.objective(frozenset(selected))
-            scored = []
-            for e in cands.edges:
-                pair = (e.u, e.v)
-                if pair in selected:
-                    continue
-                gain = bench.objective(frozenset(selected), bench.cand_eid[pair]) - cur
-                scored.append((-gain, -e.prob, pair))
-            if not scored:
-                break
-            scored.sort()
-            neg_gain, _, pair = scored[0]
-            selected.add(pair)
-            chosen.append(bench.by_pair[pair])
-            trace.append(RoundRecord(len(trace) + 1, "fill", (pair,), -neg_gain,
-                                     -neg_gain, tuple((p, -gv) for gv, _, p in scored)))
-    return bench.finalize(chosen, trace, flags)
+    # the greedy runs on paths searched again after pruning: at a tie for the
+    # l-th path, the pruned graph can keep a different path than the pooled search
+    aug = augment(g, cands)
+    paths = [top_l_paths(aug, s, t, l) for s, t in real]
+    return _batch_greedy(_Bench(g, cands, query.pairs, paths, config), query.k, "avg")
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,24 @@ set of candidate edges it needs.  Paths sharing a label form a batch that is
 bought as a unit; buying a batch can cover other labels and activate their
 paths for free.  Gains are measured on the subgraph induced by the active
 paths' edges, which keeps every evaluation small regardless of graph size.
+
+One bench serves a tuple of (s, t) pairs; a single-pair query is the case of
+one pair.  It keeps every distinct top path once, with the set of pairs that
+own it.  Its objective is the number of pairs with s == t plus, for every
+other pair, the reliability of the subgraph of that pair's active paths.  The
+batch greedy maximizes this sum for the single-pair `be` selector and for the
+`avg` multi-pair aggregate alike, and every result reports the mean pair
+reliability on the full graph before and after the chosen edges.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .candidates import CandidateEdge, CandidateSet, eliminate, prune_by_paths
+import numpy as np
+
+from .candidates import (CandidateEdge, CandidateSet, _as_candidate_set, eliminate,
+                         prune_by_paths)
 from .errors import CapExceededError
 from .estimators import EstimatorConfig, estimate
 from .graph import UncertainGraph
@@ -85,106 +96,150 @@ def build_batches(paths) -> list[PathBatch]:
 # ---------------------------------------------------------------------------
 
 
-class _Workbench:
-    """Augmented graph, labeled paths, and a cached subgraph estimator.
+def _pair_reliabilities(g: UncertainGraph, pairs, config: EstimatorConfig) -> list[float]:
+    return [1.0 if s == t else estimate(g, s, t, config).value for s, t in pairs]
 
-    `paths` are the top-l paths when the caller already has them; otherwise
-    they are searched on the augmented graph.
+
+def _finalize(g: UncertainGraph, pairs, method: str, chosen, base_vals, trace, flags,
+              config: EstimatorConfig) -> SelectionResult:
+    """Result with the mean pair reliability before (`base_vals`) and after `chosen`."""
+    if chosen:
+        improved = g.with_edges([(e.u, e.v, e.prob) for e in chosen])
+        new_vals = _pair_reliabilities(improved, pairs, config)
+    else:
+        new_vals = base_vals
+    base, new = float(np.mean(base_vals)), float(np.mean(new_vals))
+    return SelectionResult(method, tuple(chosen), base, new, new - base,
+                           tuple(trace), tuple(flags))
+
+
+class _Bench:
+    """Candidates, the pairs' labeled top paths, and a cached subgraph estimator.
+
+    `paths[j]` are the top paths of the j-th pair with s != t; the bench never
+    searches.  Edge ids are those of `augment(g, cands)`, which appends
+    candidate i as edge g.m + i.
     """
 
-    def __init__(self, g: UncertainGraph, cands: CandidateSet, s: int, t: int,
-                 k: int, config: EstimatorConfig, l: int, paths=None):
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        self.g = g
-        self.cands = cands
-        self.s, self.t, self.k, self.config = s, t, k, config
+    def __init__(self, g: UncertainGraph, cands: CandidateSet, pairs, paths,
+                 config: EstimatorConfig):
+        self.g, self.cands, self.config = g, cands, config
+        self.pairs = tuple(pairs)
+        self.real = [(s, t) for s, t in self.pairs if s != t]
         self.by_pair = {(e.u, e.v): e for e in cands.edges}
-        self.aug = augment(g, cands)
-        self.paths = top_l_paths(self.aug, s, t, l) if paths is None else paths
-        pair_eid = {}
-        for i in range(self.aug.m):
-            u, v = int(self.aug.src[i]), int(self.aug.dst[i])
-            pair_eid[(u, v)] = i
-            if not self.aug.directed:
-                pair_eid[(v, u)] = i
-        self.path_eids = [
-            frozenset(pair_eid[(a, b)] for a, b in zip(p.nodes, p.nodes[1:]))
-            for p in self.paths
-        ]
-        self.cand_eid = {
-            (e.u, e.v): pair_eid[(e.u, e.v)] for e in cands.edges
-        }
-        self._sub_cache: dict[frozenset, float] = {}
+        self.cand_eid = {}
+        for i, e in enumerate(cands.edges):
+            self.cand_eid[(e.u, e.v)] = g.m + i
+            if not g.directed:
+                self.cand_eid[(e.v, e.u)] = g.m + i
+        # one entry per distinct node sequence; owners records which pairs use it
+        self.paths = []
+        self.path_eids = []
+        self.path_owners = []
+        seen: dict[tuple, int] = {}
+        for j, pair_paths in enumerate(paths):
+            for p in pair_paths:
+                idx = seen.get(p.nodes)
+                if idx is None:
+                    seen[p.nodes] = len(self.paths)
+                    self.paths.append(p)
+                    self.path_eids.append(frozenset(
+                        self._eid(a, b) for a, b in zip(p.nodes, p.nodes[1:])))
+                    self.path_owners.append({j})
+                else:
+                    self.path_owners[idx].add(j)
+        self._cache: dict[tuple, float] = {}
 
-    def active_eids(self, selected: frozenset) -> frozenset:
-        eids = set()
-        for path, peids in zip(self.paths, self.path_eids):
-            if path.candidate_edges <= selected:
-                eids.update(peids)
-        return frozenset(eids)
+    def _eid(self, u: int, v: int) -> int:
+        eid = self.g.edge_id(u, v)
+        return self.cand_eid[(u, v)] if eid is None else eid
 
-    def subgraph_reliability(self, eids: frozenset) -> float:
-        """Reliability of s-t restricted to the given edges of the augmented graph."""
-        if self.s == self.t:
-            return 1.0
-        hit = self._sub_cache.get(eids)
+    def _arc(self, eid: int) -> tuple:
+        if eid < self.g.m:
+            return int(self.g.src[eid]), int(self.g.dst[eid]), float(self.g.prob[eid])
+        return self.cands.edges[eid - self.g.m]
+
+    def objective(self, selected: frozenset, extra_eid: int | None = None) -> float:
+        """Pairs with s == t plus each other pair's active-path subgraph reliability."""
+        total = float(len(self.pairs) - len(self.real))
+        for j in range(len(self.real)):
+            eids = set() if extra_eid is None else {extra_eid}
+            for path, peids, owners in zip(self.paths, self.path_eids, self.path_owners):
+                if j in owners and path.candidate_edges <= selected:
+                    eids.update(peids)
+            total += self.sub(j, frozenset(eids))
+        return total
+
+    def sub(self, j: int, eids: frozenset) -> float:
+        """Reliability of the j-th pair with s != t on the given edges alone."""
+        key = (j, eids)
+        hit = self._cache.get(key)
         if hit is not None:
             return hit
+        s, t = self.real[j]
         eid_list = sorted(eids)
-        nodes = {self.s, self.t}
-        for eid in eid_list:
-            nodes.add(int(self.aug.src[eid]))
-            nodes.add(int(self.aug.dst[eid]))
-        order = sorted(nodes)
-        remap = {u: i for i, u in enumerate(order)}
+        arcs = [self._arc(eid) for eid in eid_list]
+        nodes = {s, t}
+        for u, v, _ in arcs:
+            nodes.add(u)
+            nodes.add(v)
+        remap = {u: i for i, u in enumerate(sorted(nodes))}
         sub = UncertainGraph(
-            len(order),
-            [remap[int(self.aug.src[e])] for e in eid_list],
-            [remap[int(self.aug.dst[e])] for e in eid_list],
-            [float(self.aug.prob[e]) for e in eid_list],
-            directed=self.aug.directed,
+            len(remap),
+            [remap[u] for u, _, _ in arcs],
+            [remap[v] for _, v, _ in arcs],
+            [p for _, _, p in arcs],
+            directed=self.g.directed,
         )
-        cfg = self.config.with_seed(derive_seed(self.config.seed, "subgraph", *eid_list))
-        val = estimate(sub, remap[self.s], remap[self.t], cfg).value
-        self._sub_cache[eids] = val
+        # a pooled query keys the seed by pair index and eids, a single pair by eids
+        # alone; each keeps its own answers (tests/golden_selection.json)
+        parts = (j, *eid_list) if len(self.pairs) > 1 else eid_list
+        cfg = self.config.with_seed(derive_seed(self.config.seed, "subgraph", *parts))
+        val = estimate(sub, remap[s], remap[t], cfg).value
+        self._cache[key] = val
         return val
 
-    def edge_for(self, pair) -> CandidateEdge:
-        return self.by_pair[pair]
+    def finalize(self, method: str, chosen, trace, flags) -> SelectionResult:
+        base_vals = _pair_reliabilities(self.g, self.pairs, self.config)
+        return _finalize(self.g, self.pairs, method, chosen, base_vals, trace, flags,
+                         self.config)
 
-    def finalize(self, method: str, chosen: list[CandidateEdge], trace, flags) -> SelectionResult:
-        base = estimate(self.g, self.s, self.t, self.config).value
-        if chosen:
-            improved = self.g.with_edges([(e.u, e.v, e.prob) for e in chosen])
-            new = estimate(improved, self.s, self.t, self.config).value
-        else:
-            new = base
-        return SelectionResult(method, tuple(chosen), base, new, new - base,
-                               tuple(trace), tuple(flags))
+    def shortcut(self, method: str, k: int) -> SelectionResult | None:
+        """The result when no greedy round is needed: no candidates, or all fit."""
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        if not self.cands.edges:
+            return self.finalize(method, [], [], ["no-candidates"])
+        if k >= len(self.cands.edges):
+            return self.finalize(method, list(self.cands.edges), [], ["k-covers-all"])
+        return None
 
 
-def _fill_with_individuals(bench: _Workbench, selected: set, chosen: list,
+def _single_bench(g: UncertainGraph, cands: CandidateSet, s: int, t: int, paths,
+                  config: EstimatorConfig) -> _Bench:
+    return _Bench(g, cands, ((s, t),), [paths] if s != t else [], config)
+
+
+def _fill_with_individuals(bench: _Bench, selected: set, chosen: list,
                            k: int, trace: list, flags: list) -> None:
-    """Spend leftover budget on single candidates by marginal subgraph gain."""
+    """Spend leftover budget on single candidates by marginal objective gain."""
     if "fill" not in flags:
         flags.append("fill")
     while len(chosen) < k:
-        active = bench.active_eids(frozenset(selected))
-        cur = bench.subgraph_reliability(active)
+        cur = bench.objective(frozenset(selected))
         scored = []
         for e in bench.cands.edges:
             pair = (e.u, e.v)
             if pair in selected:
                 continue
-            gain = bench.subgraph_reliability(active | {bench.cand_eid[pair]}) - cur
+            gain = bench.objective(frozenset(selected), bench.cand_eid[pair]) - cur
             scored.append((-gain, -e.prob, pair))
         if not scored:
             break
         scored.sort()
         neg_gain, _, pair = scored[0]
         selected.add(pair)
-        chosen.append(bench.edge_for(pair))
+        chosen.append(bench.by_pair[pair])
         trace.append(RoundRecord(len(trace) + 1, "fill", (pair,), -neg_gain, -neg_gain,
                                  tuple((p, -g) for g, _, p in scored)))
 
@@ -201,26 +256,22 @@ def select_be(g: UncertainGraph, cands: CandidateSet, s: int, t: int, k: int,
     the most probable path; when none fit, leftover budget is spent on
     individual candidates and the result is flagged "fill".
     """
-    return _batch_greedy(_Workbench(g, cands, s, t, k, config, l))
+    paths = top_l_paths(augment(g, cands), s, t, l)
+    return _batch_greedy(_single_bench(g, cands, s, t, paths, config), k, "be")
 
 
-def _batch_greedy(bench: _Workbench) -> SelectionResult:
-    cands, k = bench.cands, bench.k
+def _batch_greedy(bench: _Bench, k: int, method: str) -> SelectionResult:
+    done = bench.shortcut(method, k)
+    if done is not None:
+        return done
     flags: list[str] = []
-    if k >= len(cands.edges) and cands.edges:
-        # whole set fits, no search needed
-        chosen = list(cands.edges)
-        return bench.finalize("be", chosen, [], ["k-covers-all"])
-    if not cands.edges:
-        return bench.finalize("be", [], [], ["no-candidates"])
-
     batches = [b for b in build_batches(bench.paths) if b.label]
     selected: set = set()
     chosen: list[CandidateEdge] = []
     trace: list[RoundRecord] = []
     while len(chosen) < k:
         remaining = k - len(chosen)
-        cur = bench.subgraph_reliability(bench.active_eids(frozenset(selected)))
+        cur = bench.objective(frozenset(selected))
         fitting = []
         for b in batches:
             need = b.label - selected
@@ -230,8 +281,7 @@ def _batch_greedy(bench: _Workbench) -> SelectionResult:
             break
         evals = []
         for b, need in fitting:
-            val = bench.subgraph_reliability(bench.active_eids(frozenset(selected | b.label)))
-            gain = val - cur
+            gain = bench.objective(frozenset(selected | b.label)) - cur
             evals.append((gain / len(need), gain, len(need), b, need))
         evals.sort(key=lambda e: (-e[0], -e[1], e[2], e[3].sort_key()))
         score, gain, _, best, need = evals[0]
@@ -241,14 +291,14 @@ def _batch_greedy(bench: _Workbench) -> SelectionResult:
             gain, score, note = 0.0, 0.0, "stall"
         picked = tuple(sorted(need))
         for pair in picked:
-            chosen.append(bench.edge_for(pair))
+            chosen.append(bench.by_pair[pair])
         selected |= best.label
         batches = [b for b in batches if not b.label <= selected]
         trace.append(RoundRecord(len(trace) + 1, note, picked, gain, score,
                                  tuple((b.sort_key(), gv, sv) for sv, gv, _, b, _ in evals)))
     if len(chosen) < k:
         _fill_with_individuals(bench, selected, chosen, k, trace, flags)
-    return bench.finalize("be", chosen, trace, flags)
+    return bench.finalize(method, chosen, trace, flags)
 
 
 def select_ip(g: UncertainGraph, cands: CandidateSet, s: int, t: int, k: int,
@@ -259,18 +309,15 @@ def select_ip(g: UncertainGraph, cands: CandidateSet, s: int, t: int, k: int,
     remaining budget and add the one with the largest subgraph reliability
     gain (ties: fewer new edges, lexicographic label, node sequence).
     """
-    return _path_greedy(_Workbench(g, cands, s, t, k, config, l))
+    paths = top_l_paths(augment(g, cands), s, t, l)
+    return _path_greedy(_single_bench(g, cands, s, t, paths, config), k)
 
 
-def _path_greedy(bench: _Workbench) -> SelectionResult:
-    cands, k = bench.cands, bench.k
+def _path_greedy(bench: _Bench, k: int) -> SelectionResult:
+    done = bench.shortcut("ip", k)
+    if done is not None:
+        return done
     flags: list[str] = []
-    if k >= len(cands.edges) and cands.edges:
-        chosen = list(cands.edges)
-        return bench.finalize("ip", chosen, [], ["k-covers-all"])
-    if not cands.edges:
-        return bench.finalize("ip", [], [], ["no-candidates"])
-
     selected: set = set()
     chosen: list[CandidateEdge] = []
     trace: list[RoundRecord] = []
@@ -279,15 +326,16 @@ def _path_greedy(bench: _Workbench) -> SelectionResult:
     for path, peids in zip(bench.paths, bench.path_eids):
         if not path.candidate_edges:
             added.update(peids)
-    while len(chosen) < k:
+    # a pair with s == t has no paths to add; fill rounds spend its budget
+    while bench.real and len(chosen) < k:
         remaining = k - len(chosen)
-        cur = bench.subgraph_reliability(frozenset(added))
+        cur = bench.sub(0, frozenset(added))
         evals = []
         for path, peids in zip(bench.paths, bench.path_eids):
             need = path.candidate_edges - selected
             if not 0 < len(need) <= remaining:
                 continue
-            gain = bench.subgraph_reliability(frozenset(added | peids)) - cur
+            gain = bench.sub(0, frozenset(added | peids)) - cur
             evals.append((-gain, len(need), tuple(sorted(path.candidate_edges)),
                           path.nodes, need, peids))
         if not evals:
@@ -296,7 +344,7 @@ def _path_greedy(bench: _Workbench) -> SelectionResult:
         neg_gain, _, label, nodes, need, peids = evals[0]
         picked = tuple(sorted(need))
         for pair in picked:
-            chosen.append(bench.edge_for(pair))
+            chosen.append(bench.by_pair[pair])
         selected |= set(label)
         added |= peids
         trace.append(RoundRecord(len(trace) + 1, "path", picked, -neg_gain,
@@ -345,15 +393,6 @@ def select_exact(g: UncertainGraph, cands: CandidateSet, s: int, t: int, k: int,
 # end-to-end single-pair pipeline
 # ---------------------------------------------------------------------------
 
-_GREEDY = {"be": _batch_greedy, "ip": _path_greedy}
-
-
-def _as_candidate_set(candidates) -> CandidateSet:
-    if isinstance(candidates, CandidateSet):
-        return candidates
-    edges = tuple(CandidateEdge(int(u), int(v), float(p)) for u, v, p in candidates)
-    return CandidateSet(edges, (), ())
-
 
 def improve_single_pair(g: UncertainGraph, s: int, t: int, k: int,
                         method: str = "be", r: int = 100, l: int = 30,
@@ -368,14 +407,14 @@ def improve_single_pair(g: UncertainGraph, s: int, t: int, k: int,
     paths are searched once: pruning drops only candidates that no top path
     uses, so the paths found before pruning feed the greedy selector.
     """
-    if method not in _GREEDY and method != "exact":
+    if method not in ("be", "ip", "exact"):
         raise ValueError(f"unknown selection method {method!r}")
     if candidates is None:
         cands = eliminate(g, s, t, r=r, h=h, zeta=zeta,
                           prob_overrides=prob_overrides, config=config)
     else:
         cands = _as_candidate_set(candidates)
-    paths = None
+    paths = []
     if cands.edges:
         paths = top_l_paths(augment(g, cands), s, t, l)
         pruned = prune_by_paths(cands, paths)
@@ -383,4 +422,7 @@ def improve_single_pair(g: UncertainGraph, s: int, t: int, k: int,
             cands = pruned
     if method == "exact":
         return select_exact(g, cands, s, t, k, config)
-    return _GREEDY[method](_Workbench(g, cands, s, t, k, config, l, paths))
+    bench = _single_bench(g, cands, s, t, paths, config)
+    if method == "ip":
+        return _path_greedy(bench, k)
+    return _batch_greedy(bench, k, "be")

@@ -203,3 +203,37 @@ class TestValidation:
         assert g2.m == g.m + 1
         assert g2.has_edge(1, 2)
         assert not g.has_edge(1, 2)
+
+
+class TestEdgeId:
+    def test_directed_orientation(self):
+        g = UncertainGraph(3, [0, 2], [1, 1], [0.5, 0.4], directed=True)
+        assert g.edge_id(0, 1) == 0
+        assert g.edge_id(2, 1) == 1
+        assert g.edge_id(1, 0) is None
+        assert g.edge_id(1, 2) is None
+
+    def test_undirected_either_orientation(self):
+        g = UncertainGraph(3, [0, 2], [1, 1], [0.5, 0.4], directed=False)
+        assert g.edge_id(0, 1) == g.edge_id(1, 0) == 0
+        assert g.edge_id(2, 1) == g.edge_id(1, 2) == 1
+        assert g.edge_id(0, 2) is None
+
+    def test_appended_edges_follow_the_base(self):
+        g = triangle_graph().with_edges([(1, 2, 0.9)])
+        assert g.edge_id(1, 2) == g.m - 1
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_agrees_with_edge_arrays_and_has_edge(self, directed):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            g = random_graph(rng, 12, 30, directed=directed)
+            for eid in range(g.m):
+                assert g.edge_id(int(g.src[eid]), int(g.dst[eid])) == eid
+            for u in range(g.n):
+                for v in range(g.n):
+                    eid = g.edge_id(u, v)
+                    assert g.has_edge(u, v) == (eid is not None)
+                    if eid is not None:
+                        ends = (int(g.src[eid]), int(g.dst[eid]))
+                        assert ends == (u, v) or (not directed and ends == (v, u))

@@ -203,8 +203,7 @@ class TestGreedyProperties:
         assert [e.prob for e in res.chosen] == [0.9]
 
     def test_stall_picks_most_probable_batch(self, monkeypatch):
-        monkeypatch.setattr(selection._Workbench, "subgraph_reliability",
-                            lambda self, eids: 0.0)
+        monkeypatch.setattr(selection._Bench, "sub", lambda self, j, eids: 0.0)
         g = walkthrough_graph()
         cands = cand_set([(0, 2, 0.5), (0, 3, 0.5), (2, 8, 0.5)])
         res = select_be(g, cands, 0, 8, k=2, config=CFG)
