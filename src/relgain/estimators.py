@@ -11,9 +11,14 @@ Three interchangeable engines:
                  fall back to Monte Carlo once a stratum's sample budget is
                  small.
 
-All sampling estimators draw world i from a counter-based stream keyed by
-(seed, i), so results are bit-identical for a fixed seed regardless of how
-the work is partitioned.
+Every sampled number - an MC estimate, an RSS leaf, a reach vector, a
+spread - is a count of worlds in which a node is reached, and one function,
+`_reach_counts`, computes it.  World i is drawn from a counter-based stream
+keyed by (seed, i), so counts are bit-identical for a fixed seed however the
+worlds are chunked.  It draws about `_CHUNK_COINS` coins at a time,
+which bounds memory at any sample size, and hands each chunk to one of two
+exact kernels: a breadth-first search over the disjoint union of a few
+worlds, or a bit-parallel spread with one bit per world for larger chunks.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import CapExceededError, RelgainError
 from .graph import UncertainGraph
-from .rng import derive_seed, uniform_batch, world_stream
+from .rng import derive_seed, uniform_batch
 
 __all__ = [
     "EstimatorConfig",
@@ -44,8 +49,12 @@ __all__ = [
     "converged_sample_size",
 ]
 
-# Edge count above which per-world sparse BFS replaces the vectorized sweep.
-_SWEEP_EDGE_LIMIT = 2048
+# Coins (worlds x edges) drawn at once; bounds sampling memory at any Z.
+_CHUNK_COINS = 2**20
+# Chunks of at least this many worlds take the bit-parallel kernel.  Below
+# it, one search over the worlds' union is faster on graphs with thousands
+# of edges, where the spread pays a Python round per BFS level.
+_SPREAD_MIN_WORLDS = 8
 
 
 @dataclass(frozen=True)
@@ -150,109 +159,83 @@ class _State:
         return _State(self.n, src[keep], dst[keep], self.prob[keep], self.directed, merged, self.s)
 
 
-def _sweep_counts(n, src, dst, directed, masks, start_vec) -> np.ndarray:
-    """Per-node counts of worlds that reach the node (modest edge counts).
+def _search_counts(state: _State, present: np.ndarray) -> np.ndarray:
+    """Reach counts of a few worlds by one search over their disjoint union.
 
-    masks is (Z, m); start_vec a boolean node vector.  The Z worlds are
-    packed into big integers so relaxing an edge across every world at once
-    is a single bitwise op; edges are swept in breadth-first distance order
-    until a fixpoint.  Returns an (n,) int64 vector of world counts.
+    present is (c, m).  Node v of world w becomes node w*n + v of one
+    block-diagonal graph, and an extra root node points at every start node
+    of every block; one breadth-first search from the root visits exactly
+    the reached (world, node) pairs.
     """
-    Z, m = masks.shape
-    counts = np.zeros(n, dtype=np.int64)
-    if m == 0:
-        counts[start_vec] = Z
-        return counts
-    # order edges by skeleton BFS level so most worlds settle in one pass
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
-    level = np.full(n, n, dtype=np.int64)
-    queue = list(np.flatnonzero(start_vec))
-    for u in queue:
-        level[u] = 0
-    for u in queue:
-        for v in adj[u]:
-            if level[v] == n:
-                level[v] = level[u] + 1
-                queue.append(v)
-    if directed:
-        order = np.argsort(level[src], kind="stable")
-    else:
-        order = np.argsort(np.minimum(level[src], level[dst]), kind="stable")
-    order = order.tolist()
-    srcl, dstl = src.tolist(), dst.tolist()
-    # one arbitrary-precision integer per edge, bit i = edge present in world i
-    packed = np.packbits(masks, axis=0)
-    width = packed.shape[0]
-    flat = packed.T.tobytes()
-    edge_bits = [int.from_bytes(flat[e * width:(e + 1) * width], "big")
-                 for e in range(m)]
-    full = int.from_bytes(np.packbits(np.ones(Z, dtype=bool)).tobytes(), "big")
-    reach = [full if start_vec[v] else 0 for v in range(n)]
+    c, n = present.shape[0], state.n
+    world, eid = np.nonzero(present)
+    a = world * n + state.src[eid]
+    b = world * n + state.dst[eid]
+    if not state.directed:
+        a, b = np.concatenate([a, b]), np.concatenate([b, a])
+    root = c * n
+    starts = (np.arange(c)[:, None] * n + np.flatnonzero(state.merged)).ravel()
+    a = np.concatenate([a, np.full(len(starts), root)])
+    b = np.concatenate([b, starts])
+    # csgraph searches take int32 indices; CSR order is a sort by arc tail
+    indptr = np.zeros(root + 2, dtype=np.int32)
+    np.cumsum(np.bincount(a, minlength=root + 1), out=indptr[1:])
+    adj = sp.csr_matrix((np.ones(len(a)), b[np.argsort(a)].astype(np.int32), indptr),
+                        shape=(root + 1, root + 1))
+    order = breadth_first_order(adj, root, directed=True, return_predecessors=False)
+    return np.bincount(order[1:] % n, minlength=n)
+
+
+def _pack_worlds(rows: np.ndarray) -> np.ndarray:
+    """(r, c) bools -> (r, ceil(c/64)) uint64 words, bit i of a row = column i."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    words = np.zeros((rows.shape[0], -(-rows.shape[1] // 64) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
+def _spread_counts(state: _State, present: np.ndarray) -> np.ndarray:
+    """Reach counts of many worlds by a bit-parallel breadth-first spread.
+
+    present is (c, m).  Each edge and each node holds one bit per world.  A
+    round pushes only the worlds a node gained in the previous round across
+    its out-arcs, so every (world, arc) pair is relaxed once.
+    """
+    bits = _pack_worlds(present.T)
+    a, b, eid = state.src, state.dst, np.arange(len(state.src))
+    if not state.directed:
+        a, b, eid = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([eid, eid])
+    reach = np.zeros((state.n, bits.shape[1]), dtype=np.uint64)
+    reach[state.merged] = _pack_worlds(np.ones((1, present.shape[0]), dtype=bool))
+    fresh, active = reach, state.merged
     while True:
-        changed = False
-        for eid in order:
-            u, v = srcl[eid], dstl[eid]
-            upd = edge_bits[eid] & reach[u] & ~reach[v]
-            if upd:
-                reach[v] |= upd
-                changed = True
-            if not directed:
-                upd = edge_bits[eid] & reach[v] & ~reach[u]
-                if upd:
-                    reach[u] |= upd
-                    changed = True
-        if not changed:
+        arcs = np.flatnonzero(active[a])
+        if not len(arcs):
             break
-    for v in range(n):
-        counts[v] = reach[v].bit_count()
-    return counts
+        gained = np.zeros_like(reach)
+        np.bitwise_or.at(gained, b[arcs], fresh[a[arcs]] & bits[eid[arcs]])
+        gained &= ~reach
+        reach |= gained
+        fresh, active = gained, gained.any(axis=1)
+    return np.bitwise_count(reach).sum(axis=1, dtype=np.int64)
 
 
-def _mc_counts(state: _State, samples: int, seed: int, vector: bool, t: int | None):
-    """Monte Carlo success counters on a (possibly simplified) edge system.
+def _reach_counts(state: _State, samples: int, seed: int) -> np.ndarray:
+    """Per-node counts of the sampled worlds in which the node is reached.
 
-    Returns (counts, samples): counts is an int (target hits) when
-    vector=False, else an int64 vector of per-node hits. Contracted nodes are
-    painted in by the caller.
+    Every node of `state.merged` starts reached.  Worlds are drawn in chunks
+    of about _CHUNK_COINS coins, world i from its own stream, and each chunk
+    goes to the kernel that is faster for its size; both are exact.
     """
-    n, src, dst, prob = state.n, state.src, state.dst, state.prob
-    m = len(src)
-    start_vec = state.merged
-    if m == 0:
-        if vector:
-            counts = np.zeros(n, dtype=np.int64)
-            counts[start_vec] = samples
-            return counts, samples
-        return (samples if (t is not None and start_vec[t]) else 0), samples
-    if m <= _SWEEP_EDGE_LIMIT:
-        masks = uniform_batch(seed, samples, m) < prob
-        counts = _sweep_counts(n, src, dst, state.directed, masks, start_vec)
-        if vector:
-            return counts, samples
-        return int(counts[t]), samples
-    # large graphs: stream one world at a time through sparse BFS
-    counts = np.zeros(n, dtype=np.int64) if vector else 0
-    for i in range(samples):
-        mask = world_stream(seed, i, m).random(m) < prob
-        a = src[mask]
-        b = dst[mask]
-        if not state.directed:
-            a, b = np.concatenate([a, b]), np.concatenate([b, a])
-        if len(a) == 0:
-            order = np.array([state.s], dtype=np.int64)
-        else:
-            adjm = sp.csr_matrix(
-                (np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n)
-            )
-            order = breadth_first_order(adjm, state.s, directed=True, return_predecessors=False)
-        if vector:
-            counts[order] += 1
-        elif t is not None and (order == t).any():
-            counts += 1
-    return counts, samples
+    m = len(state.src)
+    counts = np.zeros(state.n, dtype=np.int64)
+    chunk = max(1, _CHUNK_COINS // max(1, m))
+    for start in range(0, samples, chunk):
+        c = min(chunk, samples - start)
+        present = uniform_batch(seed, c, m, start) < state.prob
+        kernel = _spread_counts if c >= _SPREAD_MIN_WORLDS else _search_counts
+        counts += kernel(state, present)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +251,10 @@ def reliability_exact(g: UncertainGraph, s: int, t: int, cap: int = 25) -> Relia
     possible world falls in exactly one leaf, so the weighted sum over leaves
     equals the full 2^m enumeration without visiting irrelevant edges.
     """
-    if g.m > cap:
-        raise CapExceededError(f"exact enumeration capped at {cap} edges, graph has {g.m}")
     if s == t:
         return ReliabilityEstimate(1.0, 0.0, 0, "exact")
+    if g.m > cap:
+        raise CapExceededError(f"exact enumeration capped at {cap} edges, graph has {g.m}")
     edges = list(zip(g.src.tolist(), g.dst.tolist(), g.prob.tolist()))
     directed = g.directed
     tbit = 1 << t
@@ -317,10 +300,8 @@ def reliability_mc(g: UncertainGraph, s: int, t: int, samples: int, seed: int = 
         raise ValueError("samples must be positive")
     if s == t:
         return ReliabilityEstimate(1.0, 0.0, 0, "mc")
-    state = _State.from_graph(g, s)
-    hits, used = _mc_counts(state, samples, seed, vector=False, t=t)
-    value = hits / used
-    return ReliabilityEstimate(value, value * (1.0 - value) / used, used, "mc")
+    value = int(_reach_counts(_State.from_graph(g, s), samples, seed)[t]) / samples
+    return ReliabilityEstimate(value, value * (1.0 - value) / samples, samples, "mc")
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +344,8 @@ def _rss_scalar(state: _State, t: int, Z: int, seed: int, path: tuple[int, ...],
         return 0.0, 0.0, 0
     if Z < mc_threshold:
         z = max(1, Z)
-        hits, used = _mc_counts(state, z, derive_seed(seed, *path), vector=False, t=t)
-        value = hits / used
-        return value, value * (1.0 - value) / used, used
+        value = int(_reach_counts(state, z, derive_seed(seed, *path))[t]) / z
+        return value, value * (1.0 - value) / z, z
     value = var = 0.0
     samples = 0
     for idx, st in enumerate(_stratify_state(state, Z, branch_r)):
@@ -389,10 +369,9 @@ def _rss_vector(state: _State, Z: int, seed: int, path: tuple[int, ...],
         return terminal_vec(), 0
     if Z < mc_threshold:
         z = max(1, Z)
-        counts, used = _mc_counts(state, z, derive_seed(seed, *path), vector=True, t=None)
-        vec = counts / used
+        vec = _reach_counts(state, z, derive_seed(seed, *path)) / z
         vec[state.merged] = 1.0
-        return vec, used
+        return vec, z
     vec = np.zeros(state.n, dtype=np.float64)
     samples = 0
     for idx, st in enumerate(_stratify_state(state, Z, branch_r)):
@@ -456,8 +435,7 @@ def reliability_all_from(g: UncertainGraph, s: int, samples: int, seed: int = 0,
         raise ValueError("samples must be positive")
     state = _State.from_graph(g, s)
     if method == "mc":
-        counts, used = _mc_counts(state, samples, seed, vector=True, t=None)
-        vec = counts / used
+        vec = _reach_counts(state, samples, seed) / samples
         vec[s] = 1.0
         return vec
     if method == "rss":
@@ -480,30 +458,10 @@ def reach_counts(g: UncertainGraph, sources, samples: int, seed: int = 0) -> np.
     sources = sorted(set(int(x) for x in sources))
     if not sources:
         raise ValueError("sources must be non-empty")
-    start_vec = np.zeros(g.n, dtype=bool)
-    start_vec[sources] = True
-    m = g.m
-    if m == 0:
-        counts = np.zeros(g.n, dtype=np.int64)
-        counts[start_vec] = samples
-        return counts
-    if m <= _SWEEP_EDGE_LIMIT:
-        masks = uniform_batch(seed, samples, m) < g.prob
-        return _sweep_counts(g.n, g.src, g.dst, g.directed, masks, start_vec)
-    counts = np.zeros(g.n, dtype=np.int64)
-    for i in range(samples):
-        mask = world_stream(seed, i, m).random(m) < g.prob
-        a, b = g.src[mask], g.dst[mask]
-        if not g.directed:
-            a, b = np.concatenate([a, b]), np.concatenate([b, a])
-        visited = start_vec.copy()
-        if len(a):
-            adjm = sp.csr_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(g.n, g.n))
-            for s0 in sources:
-                order = breadth_first_order(adjm, s0, directed=True, return_predecessors=False)
-                visited[order] = True
-        counts[visited] += 1
-    return counts
+    merged = np.zeros(g.n, dtype=bool)
+    merged[sources] = True
+    state = _State(g.n, g.src, g.dst, g.prob, g.directed, merged, sources[0])
+    return _reach_counts(state, samples, seed)
 
 
 # ---------------------------------------------------------------------------

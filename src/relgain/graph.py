@@ -23,7 +23,6 @@ import warnings
 import numpy as np
 
 from .errors import GraphFormatError
-from .rng import uniform_batch, world_stream
 
 __all__ = [
     "UncertainGraph",
@@ -284,11 +283,6 @@ def save_graph(g: UncertainGraph, path) -> None:
 def sample_world(g: UncertainGraph, rng: np.random.Generator) -> np.ndarray:
     """Draw one possible world as a boolean edge mask."""
     return rng.random(g.m) < g.prob
-
-
-def sample_world_batch(g: UncertainGraph, seed: int, count: int) -> np.ndarray:
-    """(count, m) mask matrix; row i equals sample_world(g, world_stream(seed, i, m))."""
-    return uniform_batch(seed, count, g.m) < g.prob
 
 
 def world_probability(g: UncertainGraph, mask) -> float:

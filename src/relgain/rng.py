@@ -37,13 +37,14 @@ def world_stream(seed: int, index: int, m: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def uniform_batch(seed: int, count: int, m: int) -> np.ndarray:
-    """(count, m) uniforms whose row i equals world_stream(seed, i, m).random(m)."""
+def uniform_batch(seed: int, count: int, m: int, start: int = 0) -> np.ndarray:
+    """(count, m) uniforms whose row i equals world_stream(seed, start + i, m).random(m)."""
     if m == 0:
         return np.empty((count, 0), dtype=np.float64)
-    width = blocks_per_sample(m) * _BLOCK_WORDS
-    gen = np.random.Generator(np.random.Philox(key=philox_key(seed)))
-    return gen.random(count * width).reshape(count, width)[:, :m]
+    blocks = blocks_per_sample(m)
+    bitgen = np.random.Philox(key=philox_key(seed), counter=start * blocks)
+    width = blocks * _BLOCK_WORDS
+    return np.random.Generator(bitgen).random(count * width).reshape(count, width)[:, :m]
 
 
 def _encode(part) -> int:

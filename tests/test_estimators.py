@@ -1,6 +1,8 @@
 """Estimator correctness against enumeration oracles and statistical bounds."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from helpers import (
 from relgain.errors import CapExceededError, RelgainError
 from relgain.estimators import (
     EstimatorConfig,
+    _search_counts,
+    _spread_counts,
+    _State,
     converged_sample_size,
     dispersion,
     estimate,
@@ -26,7 +31,8 @@ from relgain.estimators import (
     reliability_rss,
     stratify,
 )
-from relgain.graph import UncertainGraph
+from relgain.graph import UncertainGraph, reached_set
+from relgain.rng import uniform_batch
 
 
 class TestExact:
@@ -48,6 +54,12 @@ class TestExact:
     def test_source_equals_target(self):
         g = triangle_graph()
         assert reliability_exact(g, 2, 2).value == 1.0
+
+    def test_source_equals_target_above_cap(self):
+        rng = np.random.default_rng(0)
+        g = random_graph(rng, 60, 174, directed=False)
+        assert reliability_exact(g, 7, 7, cap=25).value == 1.0
+        assert estimate(g, 7, 7, EstimatorConfig(method="exact")).value == 1.0
 
     def test_cap_enforced(self):
         rng = np.random.default_rng(0)
@@ -266,6 +278,61 @@ class TestAllFromTo:
         a = reliability_all_from(g, 2, samples=2000, seed=9)
         b = reliability_all_to(g, 2, samples=2000, seed=9)
         np.testing.assert_array_equal(a, b)
+
+
+def _merged_state(g, starts):
+    merged = np.zeros(g.n, dtype=bool)
+    merged[list(starts)] = True
+    return _State(g.n, g.src, g.dst, g.prob, g.directed, merged, starts[0])
+
+
+class TestReachKernels:
+    """Both chunk kernels against a per-world search, summed over worlds."""
+
+    @staticmethod
+    def _oracle(g, starts, present):
+        counts = np.zeros(g.n, dtype=np.int64)
+        for mask in present:
+            seen = np.zeros(g.n, dtype=bool)
+            for s in starts:
+                seen |= reached_set(mask, g, s)
+            counts += seen
+        return counts
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("c", [1, 63, 64, 65, 130])
+    def test_kernels_match_per_world_search(self, directed, c):
+        rng = np.random.default_rng(c + directed)
+        base = random_graph(rng, 40, 90, directed=directed)
+        # node 40 has no edges: an isolated start
+        g = UncertainGraph(41, base.src, base.dst, base.prob, directed=directed)
+        present = uniform_batch(c, c, g.m) < g.prob
+        for starts in ((0,), (3, 17, 29), (40,), (5, 40)):
+            want = self._oracle(g, starts, present)
+            state = _merged_state(g, starts)
+            np.testing.assert_array_equal(_search_counts(state, present), want)
+            np.testing.assert_array_equal(_spread_counts(state, present), want)
+
+    @pytest.mark.parametrize("c", [1, 64, 130])
+    def test_kernels_without_edges(self, c):
+        g = UncertainGraph(5, [], [], [])
+        present = np.zeros((c, 0), dtype=bool)
+        want = np.array([c, 0, c, 0, 0])
+        state = _merged_state(g, (0, 2))
+        np.testing.assert_array_equal(_search_counts(state, present), want)
+        np.testing.assert_array_equal(_spread_counts(state, present), want)
+
+
+def test_mc_memory_is_bounded_at_large_z():
+    # the whole 20,000 x 1,000 coin matrix would take 160 MB
+    g = random_graph(np.random.default_rng(5), 300, 1000, directed=False)
+    tracemalloc.start()
+    try:
+        reliability_mc(g, 0, 299, 20_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 class TestConvergedSampleSize:

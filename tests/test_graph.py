@@ -13,11 +13,10 @@ from relgain.graph import (
     reachable,
     reached_set,
     sample_world,
-    sample_world_batch,
     save_graph,
     world_probability,
 )
-from relgain.rng import world_stream
+from relgain.rng import uniform_batch, world_stream
 
 
 class TestLoadGraph:
@@ -111,7 +110,7 @@ class TestWorlds:
     def test_presence_frequency_matches_probability(self):
         # binomial 3-sigma bound at Z=100000 is under 0.005; assert 0.01
         g = UncertainGraph(2, [0], [1], [0.5])
-        masks = sample_world_batch(g, seed=42, count=100_000)
+        masks = uniform_batch(42, 100_000, g.m) < g.prob
         assert abs(masks.mean() - 0.5) < 0.01
 
     def test_world_probability_simple(self):
@@ -131,18 +130,19 @@ class TestWorlds:
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_index_streams_match_batch(self):
-        # world i from its own stream equals row i of one batched draw
+        # world start + i from its own stream equals row i of one batched draw
         rng = np.random.default_rng(11)
         g = random_graph(rng, 10, 23)
-        batch = sample_world_batch(g, seed=5, count=17)
-        for i in range(17):
-            row = sample_world(g, world_stream(5, i, g.m))
-            np.testing.assert_array_equal(row, batch[i])
+        for start in (0, 1, 6):
+            batch = uniform_batch(5, 17, g.m, start) < g.prob
+            for i in range(17):
+                row = sample_world(g, world_stream(5, start + i, g.m))
+                np.testing.assert_array_equal(row, batch[i])
 
     def test_fixed_seed_is_reproducible(self):
         g = triangle_graph()
-        a = sample_world_batch(g, seed=9, count=50)
-        b = sample_world_batch(g, seed=9, count=50)
+        a = uniform_batch(9, 50, g.m) < g.prob
+        b = uniform_batch(9, 50, g.m) < g.prob
         np.testing.assert_array_equal(a, b)
 
 
