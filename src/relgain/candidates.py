@@ -99,23 +99,19 @@ def _check_params(g, r, zeta, prob_overrides):
 
 
 def _pairs_between(g, source_pool, target_pool, h, zeta, overrides):
+    """Candidate edges over the pools' grid, source-major, first occurrence of a key."""
+    src = np.asarray(source_pool, dtype=np.int64)
+    dst = np.asarray(target_pool, dtype=np.int64)
+    u, v = np.repeat(src, len(dst)), np.tile(dst, len(src))
+    keys = g._pair_keys(u, v)
+    ok = (u != v) & ~np.isin(keys, g._pair_keys(g.src, g.dst))
     if h is not None:
-        dist = _hop_distances(g, source_pool, float(h))
-        row_of = {u: i for i, u in enumerate(source_pool)}
-    seen = set()
-    edges = []
-    for u in source_pool:
-        for v in target_pool:
-            if u == v:
-                continue
-            key = (u, v) if g.directed else (min(u, v), max(u, v))
-            if key in seen or g.has_edge(u, v):
-                continue
-            if h is not None and not dist[row_of[u], v] <= h:
-                continue
-            seen.add(key)
-            edges.append(CandidateEdge(u, v, overrides.get((u, v), zeta)))
-    return tuple(edges)
+        dist = _hop_distances(g, src, float(h))
+        ok &= dist[np.repeat(np.arange(len(src)), len(dst)), v] <= h
+    idx = np.flatnonzero(ok)
+    idx = idx[np.sort(np.unique(keys[idx], return_index=True)[1])]
+    return tuple(CandidateEdge(a, b, overrides.get((a, b), zeta))
+                 for a, b in zip(u[idx].tolist(), v[idx].tolist()))
 
 
 def eliminate(g: UncertainGraph, s: int, t: int, r: int = 100, h: int | None = 3,

@@ -12,17 +12,27 @@ Three interchangeable engines:
                  small.
 
 Every sampled number - an MC estimate, an RSS leaf, a reach vector, a
-spread - is a count of worlds in which a node is reached, and one function,
-`_reach_counts`, computes it.  World i is drawn from a counter-based stream
-keyed by (seed, i), so counts are bit-identical for a fixed seed however the
-worlds are chunked.  It draws about `_CHUNK_COINS` coins at a time,
-which bounds memory at any sample size, and hands each chunk to one of two
-exact kernels: a breadth-first search over the disjoint union of a few
-worlds, or a bit-parallel spread with one bit per world for larger chunks.
+spread - is a count of worlds in which a node is reached.  World i is drawn
+from a counter-based stream keyed by (seed, i), so counts are bit-identical
+for a fixed seed however the worlds are chunked.  `_reach_counts` draws
+about `_CHUNK_COINS` coins at a time, which bounds memory at any sample
+size, and hands each chunk to one of two exact kernels: a breadth-first
+search over the disjoint union of a few worlds, or a bit-parallel spread
+with one bit per world for larger chunks.
+
+An RSS estimate runs one spread for all of its leaves.  It walks the strata
+tree once; each leaf draws its worlds in the same chunks from its own
+stream and writes them into consecutive columns of packed bits over the
+root graph.  The pending columns are flushed through the spread whenever
+they reach the same coin budget, `_CHUNK_COINS // m` worlds rounded up to
+whole 64-world words, and the leaf answers are folded back up the tree in
+the order of the recursion, so values, variances and sample counts are
+those of one search per leaf.
 """
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,15 +119,21 @@ class Stratum:
     z: int
 
 
+def _check_nodes(g: UncertainGraph, *nodes) -> None:
+    for v in nodes:
+        if not 0 <= v < g.n:
+            raise ValueError(f"node id {v} outside [0, {g.n})")
+
+
 # ---------------------------------------------------------------------------
 # internal edge system: a mutable view used by the stratified recursion
 # ---------------------------------------------------------------------------
 
 
 class _State:
-    __slots__ = ("n", "src", "dst", "prob", "directed", "merged", "s")
+    __slots__ = ("n", "src", "dst", "prob", "directed", "merged", "s", "eid")
 
-    def __init__(self, n, src, dst, prob, directed, merged, s):
+    def __init__(self, n, src, dst, prob, directed, merged, s, eid=None):
         self.n = n
         self.src = src
         self.dst = dst
@@ -125,12 +141,16 @@ class _State:
         self.directed = directed
         self.merged = merged  # bool vector: nodes contracted into the source
         self.s = s
+        # root edge id of each kept edge
+        self.eid = np.arange(len(src), dtype=np.int32) if eid is None else eid
 
     @classmethod
     def from_graph(cls, g: UncertainGraph, s: int) -> "_State":
         merged = np.zeros(g.n, dtype=bool)
         merged[s] = True
-        return cls(g.n, g.src.copy(), g.dst.copy(), g.prob.copy(), g.directed, merged, s)
+        # int32 ids halve the arrays that every level of the recursion holds
+        return cls(g.n, g.src.astype(np.int32), g.dst.astype(np.int32), g.prob.copy(),
+                   g.directed, merged, s)
 
     def frontier(self) -> np.ndarray:
         """Edge positions leaving the contracted source component."""
@@ -156,7 +176,8 @@ class _State:
             dst = np.where(dst == v, self.s, dst)
             keep[eid] = False  # contracted away
             keep &= src != dst  # drop edges internal to the source component
-        return _State(self.n, src[keep], dst[keep], self.prob[keep], self.directed, merged, self.s)
+        return _State(self.n, src[keep], dst[keep], self.prob[keep], self.directed, merged,
+                      self.s, self.eid[keep])
 
 
 def _search_counts(state: _State, present: np.ndarray) -> np.ndarray:
@@ -194,30 +215,44 @@ def _pack_worlds(rows: np.ndarray) -> np.ndarray:
     return words.view(np.uint64)
 
 
-def _spread_counts(state: _State, present: np.ndarray) -> np.ndarray:
-    """Reach counts of many worlds by a bit-parallel breadth-first spread.
+def _arcs(state: _State):
+    """(tail, head, edge position) of every arc; both ways when undirected."""
+    a, b, eid = state.src, state.dst, np.arange(len(state.src), dtype=np.int32)
+    if state.directed:
+        return a, b, eid
+    return np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([eid, eid])
 
-    present is (c, m).  Each edge and each node holds one bit per world.  A
-    round pushes only the worlds a node gained in the previous round across
-    its out-arcs, so every (world, arc) pair is relaxed once.
+
+def _spread(arcs, bits: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Bit-parallel breadth-first spread over packed worlds, in place.
+
+    bits[e] holds edge e's presence and reach[v] the worlds in which v
+    starts reached, one bit per world; reach grows to the worlds in which v
+    is reached.  A round pushes only the worlds a node gained in the
+    previous round across its out-arcs, so every (world, arc) pair is
+    relaxed once.
     """
-    bits = _pack_worlds(present.T)
-    a, b, eid = state.src, state.dst, np.arange(len(state.src))
-    if not state.directed:
-        a, b, eid = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([eid, eid])
-    reach = np.zeros((state.n, bits.shape[1]), dtype=np.uint64)
-    reach[state.merged] = _pack_worlds(np.ones((1, present.shape[0]), dtype=bool))
-    fresh, active = reach, state.merged
+    a, b, eid = arcs
+    fresh, active = reach, reach.any(axis=1)
     while True:
         arcs = np.flatnonzero(active[a])
         if not len(arcs):
-            break
+            return reach
         gained = np.zeros_like(reach)
-        np.bitwise_or.at(gained, b[arcs], fresh[a[arcs]] & bits[eid[arcs]])
+        pushed = fresh[a[arcs]]
+        pushed &= bits[eid[arcs]]
+        np.bitwise_or.at(gained, b[arcs], pushed)
         gained &= ~reach
         reach |= gained
         fresh, active = gained, gained.any(axis=1)
-    return np.bitwise_count(reach).sum(axis=1, dtype=np.int64)
+
+
+def _spread_counts(state: _State, present: np.ndarray) -> np.ndarray:
+    """Reach counts of the (c, m) worlds `present` by one bit-parallel spread."""
+    bits = _pack_worlds(present.T)
+    reach = np.zeros((state.n, bits.shape[1]), dtype=np.uint64)
+    reach[state.merged] = _pack_worlds(np.ones((1, present.shape[0]), dtype=bool))
+    return np.bitwise_count(_spread(_arcs(state), bits, reach)).sum(axis=1, dtype=np.int64)
 
 
 def _reach_counts(state: _State, samples: int, seed: int) -> np.ndarray:
@@ -251,6 +286,7 @@ def reliability_exact(g: UncertainGraph, s: int, t: int, cap: int = 25) -> Relia
     possible world falls in exactly one leaf, so the weighted sum over leaves
     equals the full 2^m enumeration without visiting irrelevant edges.
     """
+    _check_nodes(g, s, t)
     if s == t:
         return ReliabilityEstimate(1.0, 0.0, 0, "exact")
     if g.m > cap:
@@ -298,6 +334,7 @@ def reliability_mc(g: UncertainGraph, s: int, t: int, samples: int, seed: int = 
     """Plain Monte Carlo: fraction of sampled worlds in which t is reachable."""
     if samples <= 0:
         raise ValueError("samples must be positive")
+    _check_nodes(g, s, t)
     if s == t:
         return ReliabilityEstimate(1.0, 0.0, 0, "mc")
     value = int(_reach_counts(_State.from_graph(g, s), samples, seed)[t]) / samples
@@ -335,54 +372,172 @@ def stratify(g: UncertainGraph, s: int, samples: int, branch_r: int = 5) -> list
     return _stratify_state(_State.from_graph(g, s), samples, branch_r)
 
 
-def _rss_scalar(state: _State, t: int, Z: int, seed: int, path: tuple[int, ...],
-                branch_r: int, mc_threshold: int):
-    """Returns (value, variance, samples_used) for the current subproblem."""
-    if state.merged[t]:
-        return 1.0, 0.0, 0
-    if len(state.frontier()) == 0:
-        return 0.0, 0.0, 0
-    if Z < mc_threshold:
-        z = max(1, Z)
-        value = int(_reach_counts(state, z, derive_seed(seed, *path))[t]) / z
-        return value, value * (1.0 - value) / z, z
-    value = var = 0.0
-    samples = 0
-    for idx, st in enumerate(_stratify_state(state, Z, branch_r)):
-        if st.pi == 0.0:
+# One RSS estimate walks its strata tree once.  Each leaf draws its worlds
+# from its own stream, as plain MC on its contracted graph would, and writes
+# them into consecutive columns of packed bits over the root graph: its coins
+# on the root ids of its surviving edges, 0 on every other edge, and its
+# merged nodes as start nodes.  From those starts the root graph reaches what
+# the contracted graph reaches, since every contracted or dropped-internal
+# edge joins two start nodes.  Pending columns go through one spread whenever
+# they fill the coin budget, and a leaf may straddle two such flushes.  The
+# walk also queues fold events; a flush folds every finished one, in walk
+# order, into a stack of frames, so the sums round as a recursive fold would.
+
+_OPEN, _CLOSE, _TERMINAL, _LEAF = range(4)
+
+
+class _Leaf:
+    """A stratum answered by z sampled worlds; lo..hi are its pending columns."""
+
+    __slots__ = ("z", "merged", "counts", "lo", "hi", "unflushed")
+
+    def __init__(self, z, merged, col):
+        # counts become a vector at the first flush when every node is wanted
+        self.z, self.merged, self.counts = z, merged, 0
+        self.lo = self.hi = col
+        self.unflushed = z
+
+
+class _Batch:
+    """Pending leaf worlds of one RSS estimate and its fold state.
+
+    t is the one node whose reliability is wanted, or None for every node.
+    A frame is [pi, value, variance, samples]; the bottom frame takes the
+    root with weight 1.0, which leaves every sum unchanged.
+    """
+
+    def __init__(self, root: _State, t, seed, branch_r, mc_threshold):
+        self.n, self.t, self.seed = root.n, t, seed
+        self.branch_r, self.mc_threshold = branch_r, mc_threshold
+        self.arcs = _arcs(root)
+        words = -(-max(1, _CHUNK_COINS // max(1, len(root.src))) // 64)
+        self.bits = np.zeros((len(root.src), words), dtype=np.uint64)
+        self.cols, self.used = 64 * words, 0
+        self.events = deque()
+        self.stack = [[1.0, self.zero(), 0.0, 0]]
+
+    def zero(self):
+        return 0.0 if self.t is not None else np.zeros(self.n)
+
+
+def _column_mask(lo: int, hi: int):
+    """(first word, uint64 masks) selecting packed columns lo..hi-1."""
+    w0, w1 = lo // 64, -(-hi // 64)
+    mask = np.full(w1 - w0, ~np.uint64(0))
+    mask[0] &= ~np.uint64(0) << np.uint64(lo % 64)
+    if hi % 64:
+        mask[-1] &= np.uint64((1 << hi % 64) - 1)
+    return w0, mask
+
+
+def _put_columns(words: np.ndarray, rows: np.ndarray, block: np.ndarray, col: int) -> None:
+    """OR the (k, len(rows)) bools `block` into columns col.. of words[rows]."""
+    for w in range(col // 64, (col + len(block) - 1) // 64 + 1):
+        lo, hi = max(col, 64 * w), min(col + len(block), 64 * w + 64)
+        bit = np.uint64(1) << np.arange(lo % 64, (hi - 1) % 64 + 1, dtype=np.uint64)
+        words[rows, w] |= bit @ block[lo - col:hi - col]
+
+
+def _rss_walk(batch: _Batch, state: _State, Z: int, path: tuple[int, ...], pi: float) -> None:
+    """Queue the fold events of the subtree at `state` and draw its leaves."""
+    t = batch.t
+    if (t is not None and state.merged[t]) or len(state.frontier()) == 0:
+        batch.events.append((_TERMINAL, pi, state.merged))
+    elif Z < batch.mc_threshold:
+        _draw_leaf(batch, state, max(1, Z), derive_seed(batch.seed, *path), pi)
+    else:
+        batch.events.append((_OPEN, pi, None))
+        for idx, st in enumerate(_stratify_state(state, Z, batch.branch_r)):
+            if st.pi != 0.0:
+                _rss_walk(batch, state.apply(st), max(1, st.z), path + (idx,), st.pi)
+        batch.events.append((_CLOSE, None, None))
+
+
+def _draw_leaf(batch: _Batch, state: _State, z: int, seed: int, pi: float) -> None:
+    """Queue a leaf and write its worlds, drawn in _reach_counts' chunks."""
+    leaf = _Leaf(z, state.merged, batch.used)
+    batch.events.append((_LEAF, pi, leaf))
+    m = len(state.src)
+    chunk = max(1, _CHUNK_COINS // max(1, m))
+    for first in range(0, z, chunk):
+        present = uniform_batch(seed, min(chunk, z - first), m, first) < state.prob
+        while len(present):
+            k = min(len(present), batch.cols - batch.used)
+            col = batch.used
+            _put_columns(batch.bits, state.eid, present[:k], col)
+            leaf.hi = batch.used = col + k
+            present = present[k:]
+            if batch.used == batch.cols:
+                _flush(batch)
+
+
+def _flush(batch: _Batch) -> None:
+    """Spread the pending columns from their leaves' merged nodes, then fold."""
+    reach = None
+    if batch.used:
+        words = -(-batch.used // 64)
+        reach = np.zeros((batch.n, words), dtype=np.uint64)
+        for kind, _, leaf in batch.events:
+            if kind == _LEAF and leaf.hi > leaf.lo:
+                w0, mask = _column_mask(leaf.lo, leaf.hi)
+                reach[leaf.merged, w0:w0 + len(mask)] |= mask
+        reach = _spread(batch.arcs, batch.bits[:, :words], reach)
+        batch.bits[:, :words] = 0
+        batch.used = 0
+    _drain(batch, reach)
+
+
+def _drain(batch: _Batch, reach) -> None:
+    """Fold queued events in walk order, up to a leaf still being drawn.
+
+    reach is the spread of the flushed columns (None when there were none);
+    each leaf first adds the counts of its columns in it.
+    """
+    events, stack, t = batch.events, batch.stack, batch.t
+    while events:
+        kind, pi, item = events[0]
+        if kind == _LEAF:
+            if item.hi > item.lo:
+                w0, mask = _column_mask(item.lo, item.hi)
+                rows = (reach if t is None else reach[t])[..., w0:w0 + len(mask)]
+                item.counts += np.bitwise_count(rows & mask).sum(axis=-1, dtype=np.int64)
+                item.unflushed -= item.hi - item.lo
+                item.lo = item.hi = 0
+            if item.unflushed:
+                return
+        events.popleft()
+        if kind == _OPEN:
+            stack.append([pi, batch.zero(), 0.0, 0])
             continue
-        child = state.apply(st)
-        v, s2, z = _rss_scalar(child, t, max(1, st.z), seed, path + (idx,), branch_r, mc_threshold)
-        value += st.pi * v
-        var += st.pi * st.pi * s2
-        samples += z
-    return value, var, samples
+        if kind == _CLOSE:
+            pi, value, var, used = stack.pop()
+        elif kind == _TERMINAL:
+            value = float(item[t]) if t is not None else item.astype(np.float64)
+            var, used = 0.0, 0
+        elif t is not None:
+            value = int(item.counts) / item.z
+            var, used = value * (1.0 - value) / item.z, item.z
+        else:
+            value = item.counts / item.z
+            value[item.merged] = 1.0
+            var, used = 0.0, item.z
+        frame = stack[-1]
+        frame[1] += pi * value
+        frame[2] += pi * pi * var
+        frame[3] += used
 
 
-def _rss_vector(state: _State, Z: int, seed: int, path: tuple[int, ...],
-                branch_r: int, mc_threshold: int):
-    """Per-node reach probability vector for the current subproblem."""
-    def terminal_vec() -> np.ndarray:
-        return state.merged.astype(np.float64)
+def _rss(state: _State, t, samples: int, seed: int, branch_r: int, mc_threshold: int):
+    """(value, variance, samples used) of an RSS estimate from state.s.
 
-    if len(state.frontier()) == 0:
-        return terminal_vec(), 0
-    if Z < mc_threshold:
-        z = max(1, Z)
-        vec = _reach_counts(state, z, derive_seed(seed, *path)) / z
-        vec[state.merged] = 1.0
-        return vec, z
-    vec = np.zeros(state.n, dtype=np.float64)
-    samples = 0
-    for idx, st in enumerate(_stratify_state(state, Z, branch_r)):
-        if st.pi == 0.0:
-            continue
-        child = state.apply(st)
-        v, z = _rss_vector(child, Z=max(1, st.z), seed=seed, path=path + (idx,),
-                           branch_r=branch_r, mc_threshold=mc_threshold)
-        vec += st.pi * v
-        samples += z
-    return vec, samples
+    The value is R(s, t), or the vector over every node when t is None
+    (its variance is not tracked).
+    """
+    batch = _Batch(state, t, seed, branch_r, mc_threshold)
+    _rss_walk(batch, state, samples, (), 1.0)
+    _flush(batch)
+    _, value, var, used = batch.stack.pop()
+    return value, var, used
 
 
 def reliability_rss(g: UncertainGraph, s: int, t: int, samples: int, seed: int = 0,
@@ -399,11 +554,10 @@ def reliability_rss(g: UncertainGraph, s: int, t: int, samples: int, seed: int =
         raise ValueError("samples must be positive")
     if branch_r < 1 or mc_threshold < 1:
         raise ValueError("branch_r and mc_threshold must be at least 1")
+    _check_nodes(g, s, t)
     if s == t:
         return ReliabilityEstimate(1.0, 0.0, 0, "rss")
-    value, var, used = _rss_scalar(
-        _State.from_graph(g, s), t, samples, seed, (), branch_r, mc_threshold
-    )
+    value, var, used = _rss(_State.from_graph(g, s), t, samples, seed, branch_r, mc_threshold)
     return ReliabilityEstimate(min(1.0, max(0.0, value)), var, used, "rss")
 
 
@@ -414,6 +568,7 @@ def reliability_rss(g: UncertainGraph, s: int, t: int, samples: int, seed: int =
 
 def estimate(g: UncertainGraph, s: int, t: int, config: EstimatorConfig = EstimatorConfig()) -> ReliabilityEstimate:
     """Answer one reliability query according to the configured method."""
+    _check_nodes(g, s, t)
     method = config.method
     if method == "auto":
         method = "exact" if g.m <= config.exact_cap else "rss"
@@ -433,14 +588,14 @@ def reliability_all_from(g: UncertainGraph, s: int, samples: int, seed: int = 0,
     """Vector of estimated reliabilities from s to every node (entry s is 1)."""
     if samples <= 0:
         raise ValueError("samples must be positive")
+    _check_nodes(g, s)
     state = _State.from_graph(g, s)
     if method == "mc":
         vec = _reach_counts(state, samples, seed) / samples
         vec[s] = 1.0
         return vec
     if method == "rss":
-        vec, _ = _rss_vector(state, samples, seed, (), branch_r, mc_threshold)
-        return vec
+        return _rss(state, None, samples, seed, branch_r, mc_threshold)[0]
     raise ValueError(f"unknown method {method!r} (expected 'mc' or 'rss')")
 
 
@@ -458,6 +613,7 @@ def reach_counts(g: UncertainGraph, sources, samples: int, seed: int = 0) -> np.
     sources = sorted(set(int(x) for x in sources))
     if not sources:
         raise ValueError("sources must be non-empty")
+    _check_nodes(g, *sources)
     merged = np.zeros(g.n, dtype=bool)
     merged[sources] = True
     state = _State(g.n, g.src, g.dst, g.prob, g.directed, merged, sources[0])

@@ -4,12 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
-from relgain.candidates import CandidateEdge, CandidateSet, eliminate, prune_by_paths
+from relgain.candidates import (
+    CandidateEdge,
+    CandidateSet,
+    _check_params,
+    _pairs_between,
+    eliminate,
+    prune_by_paths,
+)
 from relgain.estimators import EstimatorConfig
 from relgain.graph import UncertainGraph
 from relgain.paths import augment, top_l_paths
 
-from helpers import walkthrough_graph
+from helpers import random_graph, walkthrough_graph
 
 CFG = EstimatorConfig(samples=20000, seed=5)
 
@@ -101,6 +108,68 @@ class TestPairFilters:
         a = eliminate(g, 0, 8, r=3, h=3, config=CFG)
         b = eliminate(g, 0, 8, r=3, h=3, config=CFG)
         assert a.edges == b.edges
+
+
+def _hops(g, u):
+    """Undirected hop distance from u to every node by a plain search."""
+    adj = [[] for _ in range(g.n)]
+    for a, b in zip(g.src.tolist(), g.dst.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = {u: 0}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in adj[a]:
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    return dist
+
+
+def _pairs_loop(g, source_pool, target_pool, h, zeta, overrides):
+    """Pair-by-pair reference for candidates._pairs_between."""
+    seen, edges = set(), []
+    for u in source_pool:
+        hops = _hops(g, u)
+        for v in target_pool:
+            key = (u, v) if g.directed else (min(u, v), max(u, v))
+            if u == v or key in seen or g.has_edge(u, v):
+                continue
+            if h is not None and not hops.get(v, float("inf")) <= h:
+                continue
+            seen.add(key)
+            edges.append(CandidateEdge(u, v, overrides.get((u, v), zeta)))
+    return tuple(edges)
+
+
+class TestPairsBetween:
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("h", [None, 1, 2, 3])
+    def test_matches_pair_loop(self, directed, h):
+        rng = np.random.default_rng(11 + 2 * (h or 0) + directed)
+        for trial in range(6):
+            g = random_graph(rng, 30, 45, directed=directed)
+            nodes = rng.permutation(g.n).tolist()
+            # pools overlap in their middle third, and one is not sorted
+            source_pool = tuple(sorted(nodes[:14]))
+            target_pool = tuple(nodes[8:22])
+            picks = rng.choice(g.n, size=(6, 2))
+            raw = {(int(a), int(b)): float(rng.uniform(0.1, 1.0)) for a, b in picks if a != b}
+            _, overrides = _check_params(g, 5, 0.4, raw)
+            got = _pairs_between(g, source_pool, target_pool, h, 0.4, overrides)
+            want = _pairs_loop(g, source_pool, target_pool, h, 0.4, overrides)
+            assert got == want
+            assert all(type(e.u) is int and type(e.v) is int for e in got)
+
+    def test_identical_pools(self):
+        g = walkthrough_graph()
+        pool = tuple(range(g.n))
+        for h in (None, 2):
+            want = _pairs_loop(g, pool, pool, h, 0.5, {})
+            assert _pairs_between(g, pool, pool, h, 0.5, {}) == want
 
 
 class TestPruneByPaths:

@@ -1,6 +1,7 @@
 """Estimator correctness against enumeration oracles and statistical bounds."""
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -15,15 +16,19 @@ from helpers import (
     triangle_graph,
 )
 
+from relgain import estimators
 from relgain.errors import CapExceededError, RelgainError
 from relgain.estimators import (
     EstimatorConfig,
+    _reach_counts,
     _search_counts,
     _spread_counts,
     _State,
+    _stratify_state,
     converged_sample_size,
     dispersion,
     estimate,
+    reach_counts,
     reliability_all_from,
     reliability_all_to,
     reliability_exact,
@@ -32,7 +37,7 @@ from relgain.estimators import (
     stratify,
 )
 from relgain.graph import UncertainGraph, reached_set
-from relgain.rng import uniform_batch
+from relgain.rng import derive_seed, uniform_batch
 
 
 class TestExact:
@@ -333,6 +338,149 @@ def test_mc_memory_is_bounded_at_large_z():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+def test_rss_memory_is_bounded_at_large_z():
+    # about 16,700 leaf worlds pass through 16 flushes of 1,088 columns;
+    # leaves of up to 255 worlds keep the tree small enough to trace quickly
+    g = random_graph(np.random.default_rng(5), 300, 1000, directed=False)
+    for call in (lambda: reliability_rss(g, 0, 299, 20_000, seed=1, mc_threshold=256),
+                 lambda: reliability_all_from(g, 0, 20_000, seed=1, method="rss",
+                                              mc_threshold=256)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+def _leaf_rss(state, t, Z, seed, path, branch_r, mc_threshold, hits):
+    """RSS with one reach count per leaf on its own contracted graph.
+
+    Returns (value, variance, samples) for node t, or (vector, None,
+    samples) when t is None, folded in stratum order.  `hits` collects the
+    kinds of node the recursion met.
+    """
+    if t is not None and state.merged[t]:
+        hits.add("merged-t")
+        return 1.0, 0.0, 0
+    if len(state.frontier()) == 0:
+        hits.add("no-frontier")
+        if t is None:
+            return state.merged.astype(np.float64), None, 0
+        return 0.0, 0.0, 0
+    if Z < mc_threshold:
+        hits.add("leaf")
+        z = max(1, Z)
+        counts = _reach_counts(state, z, derive_seed(seed, *path))
+        if t is None:
+            vec = counts / z
+            vec[state.merged] = 1.0
+            return vec, None, z
+        value = int(counts[t]) / z
+        return value, value * (1.0 - value) / z, z
+    value = 0.0 if t is not None else np.zeros(state.n)
+    var, used = 0.0, 0
+    for idx, st in enumerate(_stratify_state(state, Z, branch_r)):
+        if st.pi == 0.0:
+            continue
+        v, s2, z = _leaf_rss(state.apply(st), t, max(1, st.z), seed, path + (idx,),
+                             branch_r, mc_threshold, hits)
+        value += st.pi * v
+        if t is not None:
+            var += st.pi * st.pi * s2
+        used += z
+    return value, var, used
+
+
+class TestRssBatch:
+    """One spread per estimate against one reach count per leaf."""
+
+    @staticmethod
+    def _check(g, s, t, Z, seed, branch_r=5, mc_threshold=8):
+        hits = set()
+        value, var, used = _leaf_rss(_State.from_graph(g, s), t, Z, seed, (), branch_r,
+                                     mc_threshold, hits)
+        est = reliability_rss(g, s, t, Z, seed, branch_r, mc_threshold)
+        assert (est.value, est.variance, est.samples_used) == (min(1.0, value), var, used)
+        vec, _, _ = _leaf_rss(_State.from_graph(g, s), None, Z, seed, (), branch_r,
+                              mc_threshold, hits)
+        got = reliability_all_from(g, s, Z, seed, method="rss", branch_r=branch_r,
+                                   mc_threshold=mc_threshold)
+        np.testing.assert_array_equal(got, vec)
+        return hits
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_matches_per_leaf_counts(self, directed):
+        # Z=300 puts about 100 leaves of 1-7 worlds in consecutive columns,
+        # so leaves straddle 64-world words
+        rng = np.random.default_rng(21 + directed)
+        for trial in range(4):
+            g = random_graph(rng, 60, 150, directed=directed)
+            self._check(g, 0, 59, 300, seed=trial)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_split_draws_and_straddled_flushes(self, monkeypatch, directed):
+        # 3-world chunks for the root graph and a 64-world flush budget;
+        # leaves of up to 99 worlds are drawn in several chunks and
+        # straddle flushes
+        rng = np.random.default_rng(31 + directed)
+        g = random_graph(rng, 80, 200, directed=directed)
+        monkeypatch.setattr(estimators, "_CHUNK_COINS", 3 * g.m)
+        for Z, mc_threshold in ((500, 100), (200, 8), (130, 200)):
+            self._check(g, 0, 79, Z, seed=Z, mc_threshold=mc_threshold)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_terminal_strata(self, directed):
+        # s touches three edges, one of them to t: the present stratum of
+        # that edge merges t, and the all-absent stratum has no frontier
+        rng = np.random.default_rng(41 + directed)
+        base = random_graph(rng, 30, 80, directed=directed)
+        keep = (base.src != 0) & (base.dst != 0)
+        g = UncertainGraph(30, np.r_[base.src[keep], 0, 0, 0], np.r_[base.dst[keep], 29, 4, 7],
+                           np.r_[base.prob[keep], 0.5, 0.6, 0.7], directed=directed)
+        hits = set()
+        for seed in range(3):
+            hits |= self._check(g, 0, 29, 200, seed=seed)
+        assert {"merged-t", "no-frontier", "leaf"} <= hits
+
+    def test_estimate_leaves_no_reference_cycles(self):
+        g = random_graph(np.random.default_rng(8), 60, 150, directed=False)
+        gc.collect()
+        gc.disable()
+        try:
+            reliability_rss(g, 0, 59, 300, seed=1)
+            reliability_all_from(g, 0, 300, seed=1, method="rss")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestNodeIds:
+    """Ids outside [0, n) are errors, not Python indices from the end."""
+
+    @pytest.mark.parametrize("bad", [-3, -1, 3])
+    def test_out_of_range_ids_raise(self, bad):
+        g = UncertainGraph(3, [0, 1], [1, 2], [1.0, 1.0])
+        calls = [
+            lambda: reliability_exact(g, bad, 2),
+            lambda: reliability_exact(g, 0, bad),
+            lambda: reliability_exact(g, bad, bad),
+            lambda: reliability_mc(g, bad, 2, 5),
+            lambda: reliability_mc(g, 0, bad, 5),
+            lambda: reliability_rss(g, bad, 2, 5),
+            lambda: reliability_rss(g, 0, bad, 5),
+            lambda: estimate(g, bad, 2),
+            lambda: estimate(g, 0, bad, EstimatorConfig(method="mc", samples=5)),
+            lambda: reliability_all_from(g, bad, 5),
+            lambda: reliability_all_to(g, bad, 5, method="rss"),
+            lambda: reach_counts(g, [0, bad], 5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="node id"):
+                call()
 
 
 class TestConvergedSampleSize:
