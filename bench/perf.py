@@ -1,22 +1,22 @@
-"""Per-call times of whole-graph RSS estimates, with hashes of their answers.
+"""Per-call times of whole-graph RSS and MC estimates, with hashes of their answers.
 
 Each row builds one graph of a benchmark workload's family and size and
-times, at the workload's Z, one RSS estimate of R(s, t)
-(``reliability_rss``) and one RSS reach vector from s
-(``reliability_all_from(method="rss")``).  A time is the median of three
-calls in CPU seconds of this process.  The row also keeps the estimate, a
-sha256 of the vector and the tracemalloc peak of one untimed call of each,
-so a faster row that answers differently shows up.  From the repository
-root::
+times, at the workload's Z and for each of the methods rss and mc, one
+estimate of R(s, t) (``reliability_rss`` / ``reliability_mc``) and one
+reach vector from s (``reliability_all_from``).  A time is the median of
+three calls in CPU seconds of this process.  The row also keeps each
+estimate, a sha256 of each vector and the tracemalloc peak of one untimed
+call of each, so a faster row that answers differently shows up.  From the
+repository root::
 
-    PYTHONPATH=src python3 bench/perf.py                  # rows "change" in BENCH_7.json
-    PYTHONPATH=../old/src python3 bench/perf.py --label parent
-    PYTHONPATH=src python3 bench/perf.py --gate           # adds the 100k-node gate row
-    python3 bench/perf.py --pairs OLD/benchmark/out NEW/benchmark/out
+    PYTHONPATH=src python3 bench/perf.py --out BENCH_14.json           # rows "change"
+    PYTHONPATH=../old/src python3 bench/perf.py --out BENCH_14.json --label parent
+    PYTHONPATH=src python3 bench/perf.py --out BENCH_14.json --gate    # adds the gate row
+    python3 bench/perf.py --out BENCH_14.json --pairs OLD/benchmark/out NEW/benchmark/out
     PYTHONPATH=src python3 bench/perf.py --quick          # small smoke run, prints only
 
 The workload rows take about a minute; the gate row (an ER graph of the
-criterion-11 size, n=100k and m=500k, at Z=250) takes about two minutes and
+criterion-11 size, n=100k and m=500k, at Z=250) takes a few minutes and
 0.5 GB.
 ``--pairs`` summarises ``benchmark/run.py`` results of two checkouts run on
 the same seeds (one ``<workload>-seed<N>-trace0.json`` per run in each
@@ -35,7 +35,6 @@ import time
 import tracemalloc
 from pathlib import Path
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_7.json"
 REPEATS = 3
 # (name, generator family, generator parameters, Z); sizes as in benchmark/workloads.py
 ROWS = [
@@ -69,20 +68,23 @@ def _timed(fn, repeats: int):
 
 def run_row(name, family, gen, z, repeats=REPEATS, seed=7) -> dict:
     from relgain import generators
-    from relgain.estimators import reliability_all_from, reliability_rss
+    from relgain.estimators import reliability_all_from, reliability_mc, reliability_rss
 
     g = generators.generate(generators.GenSpec(family, seed=1, **gen))
     s, t = 0, g.n // 2
-    scalar_s, est, scalar_mb = _timed(lambda: reliability_rss(g, s, t, z, seed), repeats)
-    vector_s, vec, vector_mb = _timed(
-        lambda: reliability_all_from(g, s, z, seed, method="rss"), repeats)
-    return {
-        "name": name, "n": g.n, "m": g.m, "Z": z, "s": s, "t": t, "seed": seed,
-        "scalar_s": round(scalar_s, 5), "vector_s": round(vector_s, 5),
-        "scalar_peak_mb": round(scalar_mb, 1), "vector_peak_mb": round(vector_mb, 1),
-        "scalar": [est.value, est.variance, est.samples_used],
-        "vector_sha256": hashlib.sha256(vec.tobytes()).hexdigest(),
-    }
+    row = {"name": name, "n": g.n, "m": g.m, "Z": z, "s": s, "t": t, "seed": seed}
+    for method, scalar in (("rss", reliability_rss), ("mc", reliability_mc)):
+        scalar_s, est, scalar_mb = _timed(lambda: scalar(g, s, t, z, seed), repeats)
+        vector_s, vec, vector_mb = _timed(
+            lambda: reliability_all_from(g, s, z, seed, method=method), repeats)
+        row.update({
+            f"{method}_scalar_s": round(scalar_s, 5), f"{method}_vector_s": round(vector_s, 5),
+            f"{method}_scalar_peak_mb": round(scalar_mb, 1),
+            f"{method}_vector_peak_mb": round(vector_mb, 1),
+            f"{method}_scalar": [est.value, est.variance, est.samples_used],
+            f"{method}_vector_sha256": hashlib.sha256(vec.tobytes()).hexdigest(),
+        })
+    return row
 
 
 def environment() -> dict:
@@ -140,8 +142,10 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="one small row; print, write nothing")
     parser.add_argument("--pairs", nargs=2, type=Path, metavar=("OLD", "NEW"),
                         help="summarise paired benchmark/run.py results instead")
-    parser.add_argument("--out", type=Path, default=OUT)
+    parser.add_argument("--out", type=Path, help="JSON file to update (all but --quick)")
     args = parser.parse_args(argv)
+    if args.out is None and not args.quick:
+        parser.error("--out is required unless --quick")
 
     if args.pairs:
         key, value = "pairs", pairs(*args.pairs)

@@ -12,22 +12,17 @@ Three interchangeable engines:
                  small.
 
 Every sampled number - an MC estimate, an RSS leaf, a reach vector, a
-spread - is a count of worlds in which a node is reached.  World i is drawn
-from a counter-based stream keyed by (seed, i), so counts are bit-identical
-for a fixed seed however the worlds are chunked.  `_reach_counts` draws
-about `_CHUNK_COINS` coins at a time, which bounds memory at any sample
-size, and hands each chunk to one of two exact kernels: a breadth-first
-search over the disjoint union of a few worlds, or a bit-parallel spread
-with one bit per world for larger chunks.
-
-An RSS estimate runs one spread for all of its leaves.  It walks the strata
-tree once; each leaf draws its worlds in the same chunks from its own
-stream and writes them into consecutive columns of packed bits over the
-root graph.  The pending columns are flushed through the spread whenever
-they reach the same coin budget, `_CHUNK_COINS // m` worlds rounded up to
-whole 64-world words, and the leaf answers are folded back up the tree in
-the order of the recursion, so values, variances and sample counts are
-those of one search per leaf.
+spread - is a count of worlds in which a node is reached, and one kernel
+counts them all: a bit-parallel spread with one bit per world.  World i is
+drawn from a counter-based stream keyed by (seed, i), so counts are
+bit-identical for a fixed seed however the worlds are chunked.  An estimate
+queues its worlds as leaves of one batch: plain MC is a single leaf of
+weight 1, and RSS walks its strata tree once and queues one leaf per
+stratum.  Leaves draw about `_CHUNK_COINS` coins at a time; the batch
+spreads its pending worlds whenever they fill the same budget over the
+larger of the edge and node counts, which bounds memory at any sample size,
+and folds the leaf answers back up the tree in the order of the recursion,
+so values, variances and sample counts are those of one search per leaf.
 """
 from __future__ import annotations
 
@@ -36,8 +31,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import CapExceededError, RelgainError
 from .graph import UncertainGraph
@@ -59,12 +52,9 @@ __all__ = [
     "converged_sample_size",
 ]
 
-# Coins (worlds x edges) drawn at once; bounds sampling memory at any Z.
+# Coins (worlds x edges) drawn at once, and world bits (worlds x max(edges,
+# nodes)) spread at once; bounds sampling memory at any Z.
 _CHUNK_COINS = 2**20
-# Chunks of at least this many worlds take the bit-parallel kernel.  Below
-# it, one search over the worlds' union is faster on graphs with thousands
-# of edges, where the spread pays a Python round per BFS level.
-_SPREAD_MIN_WORLDS = 8
 
 
 @dataclass(frozen=True)
@@ -180,41 +170,6 @@ class _State:
                       self.s, self.eid[keep])
 
 
-def _search_counts(state: _State, present: np.ndarray) -> np.ndarray:
-    """Reach counts of a few worlds by one search over their disjoint union.
-
-    present is (c, m).  Node v of world w becomes node w*n + v of one
-    block-diagonal graph, and an extra root node points at every start node
-    of every block; one breadth-first search from the root visits exactly
-    the reached (world, node) pairs.
-    """
-    c, n = present.shape[0], state.n
-    world, eid = np.nonzero(present)
-    a = world * n + state.src[eid]
-    b = world * n + state.dst[eid]
-    if not state.directed:
-        a, b = np.concatenate([a, b]), np.concatenate([b, a])
-    root = c * n
-    starts = (np.arange(c)[:, None] * n + np.flatnonzero(state.merged)).ravel()
-    a = np.concatenate([a, np.full(len(starts), root)])
-    b = np.concatenate([b, starts])
-    # csgraph searches take int32 indices; CSR order is a sort by arc tail
-    indptr = np.zeros(root + 2, dtype=np.int32)
-    np.cumsum(np.bincount(a, minlength=root + 1), out=indptr[1:])
-    adj = sp.csr_matrix((np.ones(len(a)), b[np.argsort(a)].astype(np.int32), indptr),
-                        shape=(root + 1, root + 1))
-    order = breadth_first_order(adj, root, directed=True, return_predecessors=False)
-    return np.bincount(order[1:] % n, minlength=n)
-
-
-def _pack_worlds(rows: np.ndarray) -> np.ndarray:
-    """(r, c) bools -> (r, ceil(c/64)) uint64 words, bit i of a row = column i."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    words = np.zeros((rows.shape[0], -(-rows.shape[1] // 64) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return words.view(np.uint64)
-
-
 def _arcs(state: _State):
     """(tail, head, edge position) of every arc; both ways when undirected."""
     a, b, eid = state.src, state.dst, np.arange(len(state.src), dtype=np.int32)
@@ -245,32 +200,6 @@ def _spread(arcs, bits: np.ndarray, reach: np.ndarray) -> np.ndarray:
         gained &= ~reach
         reach |= gained
         fresh, active = gained, gained.any(axis=1)
-
-
-def _spread_counts(state: _State, present: np.ndarray) -> np.ndarray:
-    """Reach counts of the (c, m) worlds `present` by one bit-parallel spread."""
-    bits = _pack_worlds(present.T)
-    reach = np.zeros((state.n, bits.shape[1]), dtype=np.uint64)
-    reach[state.merged] = _pack_worlds(np.ones((1, present.shape[0]), dtype=bool))
-    return np.bitwise_count(_spread(_arcs(state), bits, reach)).sum(axis=1, dtype=np.int64)
-
-
-def _reach_counts(state: _State, samples: int, seed: int) -> np.ndarray:
-    """Per-node counts of the sampled worlds in which the node is reached.
-
-    Every node of `state.merged` starts reached.  Worlds are drawn in chunks
-    of about _CHUNK_COINS coins, world i from its own stream, and each chunk
-    goes to the kernel that is faster for its size; both are exact.
-    """
-    m = len(state.src)
-    counts = np.zeros(state.n, dtype=np.int64)
-    chunk = max(1, _CHUNK_COINS // max(1, m))
-    for start in range(0, samples, chunk):
-        c = min(chunk, samples - start)
-        present = uniform_batch(seed, c, m, start) < state.prob
-        kernel = _spread_counts if c >= _SPREAD_MIN_WORLDS else _search_counts
-        counts += kernel(state, present)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +266,7 @@ def reliability_mc(g: UncertainGraph, s: int, t: int, samples: int, seed: int = 
     _check_nodes(g, s, t)
     if s == t:
         return ReliabilityEstimate(1.0, 0.0, 0, "mc")
-    value = int(_reach_counts(_State.from_graph(g, s), samples, seed)[t]) / samples
+    value = int(_reach_counts(_State.from_graph(g, s), t, samples, seed)) / samples
     return ReliabilityEstimate(value, value * (1.0 - value) / samples, samples, "mc")
 
 
@@ -372,16 +301,18 @@ def stratify(g: UncertainGraph, s: int, samples: int, branch_r: int = 5) -> list
     return _stratify_state(_State.from_graph(g, s), samples, branch_r)
 
 
-# One RSS estimate walks its strata tree once.  Each leaf draws its worlds
-# from its own stream, as plain MC on its contracted graph would, and writes
-# them into consecutive columns of packed bits over the root graph: its coins
-# on the root ids of its surviving edges, 0 on every other edge, and its
-# merged nodes as start nodes.  From those starts the root graph reaches what
-# the contracted graph reaches, since every contracted or dropped-internal
-# edge joins two start nodes.  Pending columns go through one spread whenever
-# they fill the coin budget, and a leaf may straddle two such flushes.  The
-# walk also queues fold events; a flush folds every finished one, in walk
-# order, into a stack of frames, so the sums round as a recursive fold would.
+# A batch holds the sampled worlds of one estimate as leaves.  Plain MC is one
+# leaf; an RSS estimate walks its strata tree once and adds a leaf per
+# stratum.  Each leaf draws its worlds from its own stream, as plain MC on its
+# contracted graph would, and writes them into consecutive columns of packed
+# bits over the root graph: its coins on the root ids of its surviving edges,
+# 0 on every other edge, and its merged nodes as start nodes.  From those
+# starts the root graph reaches what the contracted graph reaches, since every
+# contracted or dropped-internal edge joins two start nodes.  Pending columns
+# go through one spread whenever they fill the batch, and a leaf may straddle
+# two such flushes.  The walk also queues fold events; a flush folds every
+# finished one, in walk order, into a stack of frames, so the sums round as a
+# recursive fold would.
 
 _OPEN, _CLOSE, _TERMINAL, _LEAF = range(4)
 
@@ -399,19 +330,21 @@ class _Leaf:
 
 
 class _Batch:
-    """Pending leaf worlds of one RSS estimate and its fold state.
+    """Pending leaf worlds of one estimate and its fold state.
 
     t is the one node whose reliability is wanted, or None for every node.
     A frame is [pi, value, variance, samples]; the bottom frame takes the
-    root with weight 1.0, which leaves every sum unchanged.
+    root with weight 1.0, which leaves every sum unchanged.  A flush spreads
+    about _CHUNK_COINS // max(m, n) worlds, rounded up to whole 64-world
+    words, so neither the edge bits nor the node reach outgrow the budget.
     """
 
-    def __init__(self, root: _State, t, seed, branch_r, mc_threshold):
-        self.n, self.t, self.seed = root.n, t, seed
-        self.branch_r, self.mc_threshold = branch_r, mc_threshold
+    def __init__(self, root: _State, t):
+        m = len(root.src)
+        self.n, self.t = root.n, t
         self.arcs = _arcs(root)
-        words = -(-max(1, _CHUNK_COINS // max(1, len(root.src))) // 64)
-        self.bits = np.zeros((len(root.src), words), dtype=np.uint64)
+        words = -(-max(1, _CHUNK_COINS // max(1, m, root.n)) // 64)
+        self.bits = np.zeros((m, words), dtype=np.uint64)
         self.cols, self.used = 64 * words, 0
         self.events = deque()
         self.stack = [[1.0, self.zero(), 0.0, 0]]
@@ -438,23 +371,25 @@ def _put_columns(words: np.ndarray, rows: np.ndarray, block: np.ndarray, col: in
         words[rows, w] |= bit @ block[lo - col:hi - col]
 
 
-def _rss_walk(batch: _Batch, state: _State, Z: int, path: tuple[int, ...], pi: float) -> None:
+def _rss_walk(batch: _Batch, state: _State, Z: int, path: tuple[int, ...], pi: float,
+              seed: int, branch_r: int, mc_threshold: int) -> None:
     """Queue the fold events of the subtree at `state` and draw its leaves."""
     t = batch.t
     if (t is not None and state.merged[t]) or len(state.frontier()) == 0:
         batch.events.append((_TERMINAL, pi, state.merged))
-    elif Z < batch.mc_threshold:
-        _draw_leaf(batch, state, max(1, Z), derive_seed(batch.seed, *path), pi)
+    elif Z < mc_threshold:
+        _draw_leaf(batch, state, max(1, Z), derive_seed(seed, *path), pi)
     else:
         batch.events.append((_OPEN, pi, None))
-        for idx, st in enumerate(_stratify_state(state, Z, batch.branch_r)):
+        for idx, st in enumerate(_stratify_state(state, Z, branch_r)):
             if st.pi != 0.0:
-                _rss_walk(batch, state.apply(st), max(1, st.z), path + (idx,), st.pi)
+                _rss_walk(batch, state.apply(st), max(1, st.z), path + (idx,), st.pi,
+                          seed, branch_r, mc_threshold)
         batch.events.append((_CLOSE, None, None))
 
 
-def _draw_leaf(batch: _Batch, state: _State, z: int, seed: int, pi: float) -> None:
-    """Queue a leaf and write its worlds, drawn in _reach_counts' chunks."""
+def _draw_leaf(batch: _Batch, state: _State, z: int, seed: int, pi: float) -> _Leaf:
+    """Queue a leaf and write its z worlds, about _CHUNK_COINS coins at a time."""
     leaf = _Leaf(z, state.merged, batch.used)
     batch.events.append((_LEAF, pi, leaf))
     m = len(state.src)
@@ -469,6 +404,7 @@ def _draw_leaf(batch: _Batch, state: _State, z: int, seed: int, pi: float) -> No
             present = present[k:]
             if batch.used == batch.cols:
                 _flush(batch)
+    return leaf
 
 
 def _flush(batch: _Batch) -> None:
@@ -527,14 +463,29 @@ def _drain(batch: _Batch, reach) -> None:
         frame[3] += used
 
 
+def _reach_counts(state: _State, t, samples: int, seed: int):
+    """Counts of the sampled worlds in which t is reached from state.merged.
+
+    The counts cover every node when t is None.  The worlds are one leaf of
+    weight 1.0, drawn from `seed` itself; the batch runs over state's own
+    edges, whatever root ids its `eid` holds.
+    """
+    state = _State(state.n, state.src, state.dst, state.prob, state.directed,
+                   state.merged, state.s)
+    batch = _Batch(state, t)
+    leaf = _draw_leaf(batch, state, samples, seed, 1.0)
+    _flush(batch)
+    return leaf.counts
+
+
 def _rss(state: _State, t, samples: int, seed: int, branch_r: int, mc_threshold: int):
     """(value, variance, samples used) of an RSS estimate from state.s.
 
     The value is R(s, t), or the vector over every node when t is None
     (its variance is not tracked).
     """
-    batch = _Batch(state, t, seed, branch_r, mc_threshold)
-    _rss_walk(batch, state, samples, (), 1.0)
+    batch = _Batch(state, t)
+    _rss_walk(batch, state, samples, (), 1.0, seed, branch_r, mc_threshold)
     _flush(batch)
     _, value, var, used = batch.stack.pop()
     return value, var, used
@@ -591,7 +542,7 @@ def reliability_all_from(g: UncertainGraph, s: int, samples: int, seed: int = 0,
     _check_nodes(g, s)
     state = _State.from_graph(g, s)
     if method == "mc":
-        vec = _reach_counts(state, samples, seed) / samples
+        vec = _reach_counts(state, None, samples, seed) / samples
         vec[s] = 1.0
         return vec
     if method == "rss":
@@ -617,20 +568,12 @@ def reach_counts(g: UncertainGraph, sources, samples: int, seed: int = 0) -> np.
     merged = np.zeros(g.n, dtype=bool)
     merged[sources] = True
     state = _State(g.n, g.src, g.dst, g.prob, g.directed, merged, sources[0])
-    return _reach_counts(state, samples, seed)
+    return _reach_counts(state, None, samples, seed)
 
 
 # ---------------------------------------------------------------------------
 # sample-size calibration via the index of dispersion
 # ---------------------------------------------------------------------------
-
-
-def _run_method(g, s, t, method, samples, seed):
-    if method == "mc":
-        return reliability_mc(g, s, t, samples, seed)
-    if method == "rss":
-        return reliability_rss(g, s, t, samples, seed)
-    raise ValueError(f"unknown method {method!r} (expected 'mc' or 'rss')")
 
 
 def dispersion(g: UncertainGraph, queries, samples: int, repeats: int,
@@ -644,11 +587,14 @@ def dispersion(g: UncertainGraph, queries, samples: int, repeats: int,
     queries = list(queries)
     if not queries or repeats < 2:
         raise ValueError("need at least one query and two repeats")
+    if method not in ("mc", "rss"):
+        raise ValueError(f"unknown method {method!r} (expected 'mc' or 'rss')")
     variances = []
     means = []
     for qi, (s, t) in enumerate(queries):
         vals = np.array([
-            _run_method(g, s, t, method, samples, derive_seed(seed, qi, rep)).value
+            estimate(g, s, t, EstimatorConfig(method=method, samples=samples,
+                                              seed=derive_seed(seed, qi, rep))).value
             for rep in range(repeats)
         ])
         variances.append(vals.var(ddof=1))

@@ -5,8 +5,8 @@ and sample count of scalar estimates, and a sha256 of every reach vector.
 Floats are compared with ==, so any change to the worlds drawn, to the reach
 counts or to the arithmetic on them shows up here.  The graphs are directed
 and undirected, with up to a few thousand edges, and the sample sizes fall
-on both sides of the kernel switch and of a 64-world word.  Regenerate
-(only when an answer change is intended and recorded) with:
+on both sides of a 64-world word.  Regenerate (only when an answer change
+is intended and recorded) with:
 
     PYTHONPATH=src python tests/test_estimator_parity.py > tests/golden_estimators.json
 """
@@ -88,9 +88,20 @@ def test_matches_golden(golden, key, name, z):
 
 @pytest.mark.parametrize("name", ["er300-directed", "er300-undirected"])
 def test_small_chunks_match_golden(golden, monkeypatch, name):
-    # 98-world chunks: Z=300 spans three bitset chunks and a 6-world search chunk
+    # 98-world chunks: an MC leaf of Z=300 is drawn in four chunks and
+    # spread in three flushes of 128 worlds, the last one partial
     g = _graph(name)
     monkeypatch.setattr(estimators, "_CHUNK_COINS", 98 * g.m)
+    key = f"{name}-z300"
+    assert _outputs(g, 300, seed=len(key)) == golden[key]
+
+
+@pytest.mark.parametrize("name", ["tiny-undirected", "er300-directed"])
+def test_three_world_chunks_match_golden(golden, monkeypatch, name):
+    # 3-world draws and 64-world flushes: an MC or reach-count leaf of Z=300
+    # spans 100 draws and five flushes, and draws straddle flush boundaries
+    g = _graph(name)
+    monkeypatch.setattr(estimators, "_CHUNK_COINS", 3 * g.m)
     key = f"{name}-z300"
     assert _outputs(g, 300, seed=len(key)) == golden[key]
 

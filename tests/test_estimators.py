@@ -21,8 +21,6 @@ from relgain.errors import CapExceededError, RelgainError
 from relgain.estimators import (
     EstimatorConfig,
     _reach_counts,
-    _search_counts,
-    _spread_counts,
     _State,
     _stratify_state,
     converged_sample_size,
@@ -292,7 +290,7 @@ def _merged_state(g, starts):
 
 
 class TestReachKernels:
-    """Both chunk kernels against a per-world search, summed over worlds."""
+    """The one-leaf batch against a per-world search over the same coins."""
 
     @staticmethod
     def _oracle(g, starts, present):
@@ -315,17 +313,18 @@ class TestReachKernels:
         for starts in ((0,), (3, 17, 29), (40,), (5, 40)):
             want = self._oracle(g, starts, present)
             state = _merged_state(g, starts)
-            np.testing.assert_array_equal(_search_counts(state, present), want)
-            np.testing.assert_array_equal(_spread_counts(state, present), want)
+            np.testing.assert_array_equal(_reach_counts(state, None, c, seed=c), want)
+            for t in (0, 3, 20, 39, 40):
+                assert _reach_counts(state, t, c, seed=c) == want[t]
 
     @pytest.mark.parametrize("c", [1, 64, 130])
     def test_kernels_without_edges(self, c):
         g = UncertainGraph(5, [], [], [])
-        present = np.zeros((c, 0), dtype=bool)
         want = np.array([c, 0, c, 0, 0])
         state = _merged_state(g, (0, 2))
-        np.testing.assert_array_equal(_search_counts(state, present), want)
-        np.testing.assert_array_equal(_spread_counts(state, present), want)
+        np.testing.assert_array_equal(_reach_counts(state, None, c, seed=c), want)
+        for t in range(5):
+            assert _reach_counts(state, t, c, seed=c) == want[t]
 
 
 def test_mc_memory_is_bounded_at_large_z():
@@ -338,6 +337,22 @@ def test_mc_memory_is_bounded_at_large_z():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+def test_mc_memory_is_bounded_with_more_nodes_than_edges():
+    # a 200-edge chain among 50,000 nodes: a flush sized by the edge count
+    # alone would spread 2,000 worlds over every node, about 50 MB at peak
+    n, m = 50_000, 200
+    g = UncertainGraph(n, np.arange(m), np.arange(1, m + 1), np.full(m, 0.99), directed=False)
+    for call in (lambda: reliability_mc(g, 0, m, 2000, seed=1),
+                 lambda: reliability_all_from(g, 0, 2000, seed=1)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_rss_memory_is_bounded_at_large_z():
@@ -374,12 +389,12 @@ def _leaf_rss(state, t, Z, seed, path, branch_r, mc_threshold, hits):
     if Z < mc_threshold:
         hits.add("leaf")
         z = max(1, Z)
-        counts = _reach_counts(state, z, derive_seed(seed, *path))
+        counts = _reach_counts(state, t, z, derive_seed(seed, *path))
         if t is None:
             vec = counts / z
             vec[state.merged] = 1.0
             return vec, None, z
-        value = int(counts[t]) / z
+        value = int(counts) / z
         return value, value * (1.0 - value) / z, z
     value = 0.0 if t is not None else np.zeros(state.n)
     var, used = 0.0, 0
