@@ -13,16 +13,20 @@ Three interchangeable engines:
 
 Every sampled number - an MC estimate, an RSS leaf, a reach vector, a
 spread - is a count of worlds in which a node is reached, and one kernel
-counts them all: a bit-parallel spread with one bit per world.  World i is
-drawn from a counter-based stream keyed by (seed, i), so counts are
-bit-identical for a fixed seed however the worlds are chunked.  An estimate
-queues its worlds as leaves of one batch: plain MC is a single leaf of
-weight 1, and RSS walks its strata tree once and queues one leaf per
-stratum.  Leaves draw about `_CHUNK_COINS` coins at a time; the batch
-spreads its pending worlds whenever they fill the same budget over the
-larger of the edge and node counts, which bounds memory at any sample size,
-and folds the leaf answers back up the tree in the order of the recursion,
-so values, variances and sample counts are those of one search per leaf.
+counts them all: a bit-parallel spread with one bit per world.  Its arcs
+are sorted by head once per batch, so each round ORs every head's pushes
+with one reduction.  World i is drawn from a counter-based stream keyed by
+(seed, i), so counts are bit-identical for a fixed seed however the worlds
+are chunked.  An estimate queues its worlds as leaves of one batch: plain
+MC is a single leaf of weight 1, and RSS walks its strata tree once and
+queues one leaf per stratum.  Leaves draw about `_CHUNK_COINS` coins at a
+time and write them as bool rows over the root edges into a stage of about
+2 * `_CHUNK_COINS` bytes, which is packed into the bit words eight worlds
+to a byte when it fills.  The batch spreads its pending worlds whenever
+they fill `_CHUNK_COINS` bits over the larger of the edge and node counts,
+which bounds memory at any sample size, and folds the leaf answers back up
+the tree in the order of the recursion, so values, variances and sample
+counts are those of one search per leaf.
 """
 from __future__ import annotations
 
@@ -171,11 +175,17 @@ class _State:
 
 
 def _arcs(state: _State):
-    """(tail, head, edge position) of every arc; both ways when undirected."""
+    """(tail, head, edge position) of every arc; both ways when undirected.
+
+    The arcs are sorted by head, so a spread round finds each head's pushes
+    side by side.
+    """
     a, b, eid = state.src, state.dst, np.arange(len(state.src), dtype=np.int32)
-    if state.directed:
-        return a, b, eid
-    return np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([eid, eid])
+    if not state.directed:
+        a, b, eid = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([eid, eid])
+    # OR ignores the order of a head's pushes, so the cheaper unstable sort will do
+    order = np.argsort(b)
+    return a[order], b[order], eid[order]
 
 
 def _spread(arcs, bits: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -185,7 +195,8 @@ def _spread(arcs, bits: np.ndarray, reach: np.ndarray) -> np.ndarray:
     starts reached, one bit per world; reach grows to the worlds in which v
     is reached.  A round pushes only the worlds a node gained in the
     previous round across its out-arcs, so every (world, arc) pair is
-    relaxed once.
+    relaxed once, and ORs each head's pushes with one reduction: the arcs
+    come sorted by head, and selecting some keeps them so.
     """
     a, b, eid = arcs
     fresh, active = reach, reach.any(axis=1)
@@ -193,10 +204,14 @@ def _spread(arcs, bits: np.ndarray, reach: np.ndarray) -> np.ndarray:
         arcs = np.flatnonzero(active[a])
         if not len(arcs):
             return reach
-        gained = np.zeros_like(reach)
         pushed = fresh[a[arcs]]
         pushed &= bits[eid[arcs]]
-        np.bitwise_or.at(gained, b[arcs], pushed)
+        heads = b[arcs]
+        first = np.flatnonzero(heads[1:] != heads[:-1])
+        first = np.concatenate(([0], first + 1))
+        gained = np.zeros_like(reach)
+        gained[heads[first]] = np.bitwise_or.reduceat(pushed, first, axis=0)
+        del arcs, pushed, heads  # free before the next round's gathers
         gained &= ~reach
         reach |= gained
         fresh, active = gained, gained.any(axis=1)
@@ -337,6 +352,13 @@ class _Batch:
     root with weight 1.0, which leaves every sum unchanged.  A flush spreads
     about _CHUNK_COINS // max(m, n) worlds, rounded up to whole 64-world
     words, so neither the edge bits nor the node reach outgrow the budget.
+    Leaves write their worlds as bool rows over the root edges into a
+    stage, which a flush, or a full stage, packs into the bit words eight
+    columns to a byte.  The stage holds about 2 * _CHUNK_COINS // m rows,
+    rounded up to whole bytes and never more than a flush: sized to the
+    flush, it would hold 64 rows of m bytes wherever m > _CHUNK_COINS / 64.
+    The first `packed` columns are in the words, the next `used - packed`
+    on the stage.
     """
 
     def __init__(self, root: _State, t):
@@ -344,8 +366,11 @@ class _Batch:
         self.n, self.t = root.n, t
         self.arcs = _arcs(root)
         words = -(-max(1, _CHUNK_COINS // max(1, m, root.n)) // 64)
-        self.bits = np.zeros((m, words), dtype=np.uint64)
-        self.cols, self.used = 64 * words, 0
+        # little-endian words: byte j of a row holds columns 8j..8j+7 on any host
+        self.bits = np.zeros((m, words), dtype="<u8")
+        self.cols, self.used, self.packed = 64 * words, 0, 0
+        rows = 8 * -(-max(1, 2 * _CHUNK_COINS // max(1, m)) // 8)
+        self.stage = np.zeros((min(rows, self.cols), m), dtype=bool)
         self.events = deque()
         self.stack = [[1.0, self.zero(), 0.0, 0]]
 
@@ -363,12 +388,17 @@ def _column_mask(lo: int, hi: int):
     return w0, mask
 
 
-def _put_columns(words: np.ndarray, rows: np.ndarray, block: np.ndarray, col: int) -> None:
-    """OR the (k, len(rows)) bools `block` into columns col.. of words[rows]."""
-    for w in range(col // 64, (col + len(block) - 1) // 64 + 1):
-        lo, hi = max(col, 64 * w), min(col + len(block), 64 * w + 64)
-        bit = np.uint64(1) << np.arange(lo % 64, (hi - 1) % 64 + 1, dtype=np.uint64)
-        words[rows, w] |= bit @ block[lo - col:hi - col]
+def _pack(batch: _Batch) -> None:
+    """Move the staged rows into their columns of the bit words, a byte at a time."""
+    k = batch.used - batch.packed
+    size = -(-k // 8)
+    stage = batch.stage[:8 * size]
+    byte = stage[0::8].view(np.uint8).copy()
+    for r in range(1, 8):
+        byte |= stage[r::8].view(np.uint8) << np.uint8(r)
+    first = batch.packed // 8
+    batch.bits.view(np.uint8)[:, first:first + size] = byte.T
+    batch.packed = batch.used
 
 
 def _rss_walk(batch: _Batch, state: _State, Z: int, path: tuple[int, ...], pi: float,
@@ -389,28 +419,40 @@ def _rss_walk(batch: _Batch, state: _State, Z: int, path: tuple[int, ...], pi: f
 
 
 def _draw_leaf(batch: _Batch, state: _State, z: int, seed: int, pi: float) -> _Leaf:
-    """Queue a leaf and write its z worlds, about _CHUNK_COINS coins at a time."""
+    """Queue a leaf and stage its z worlds, about _CHUNK_COINS coins at a time."""
     leaf = _Leaf(z, state.merged, batch.used)
     batch.events.append((_LEAF, pi, leaf))
     m = len(state.src)
     chunk = max(1, _CHUNK_COINS // max(1, m))
-    for first in range(0, z, chunk):
-        present = uniform_batch(seed, min(chunk, z - first), m, first) < state.prob
-        while len(present):
-            k = min(len(present), batch.cols - batch.used)
-            col = batch.used
-            _put_columns(batch.bits, state.eid, present[:k], col)
-            leaf.hi = batch.used = col + k
-            present = present[k:]
-            if batch.used == batch.cols:
-                _flush(batch)
+    first = 0
+    while first < z:
+        row = batch.used - batch.packed
+        k = min(chunk, z - first, len(batch.stage) - row, batch.cols - batch.used)
+        coins = batch.stage[row:row + k]
+        if m == batch.stage.shape[1]:
+            # every root edge survives, in root order
+            np.less(uniform_batch(seed, k, m, first), state.prob, out=coins)
+        else:
+            coins[:] = False
+            coins[:, state.eid] = uniform_batch(seed, k, m, first) < state.prob
+        first += k
+        leaf.hi = batch.used = batch.used + k
+        if batch.used == batch.cols:
+            _flush(batch)
+        elif row + k == len(batch.stage):
+            _pack(batch)
     return leaf
 
 
 def _flush(batch: _Batch) -> None:
-    """Spread the pending columns from their leaves' merged nodes, then fold."""
+    """Spread the pending columns from their leaves' merged nodes, then fold.
+
+    Columns past `used` may hold stale bits from an earlier fill of the
+    stage or the words; no leaf starts there, so they reach nothing.
+    """
     reach = None
     if batch.used:
+        _pack(batch)
         words = -(-batch.used // 64)
         reach = np.zeros((batch.n, words), dtype=np.uint64)
         for kind, _, leaf in batch.events:
@@ -418,8 +460,7 @@ def _flush(batch: _Batch) -> None:
                 w0, mask = _column_mask(leaf.lo, leaf.hi)
                 reach[leaf.merged, w0:w0 + len(mask)] |= mask
         reach = _spread(batch.arcs, batch.bits[:, :words], reach)
-        batch.bits[:, :words] = 0
-        batch.used = 0
+        batch.used = batch.packed = 0
     _drain(batch, reach)
 
 

@@ -317,6 +317,56 @@ class TestReachKernels:
             for t in (0, 3, 20, 39, 40):
                 assert _reach_counts(state, t, c, seed=c) == want[t]
 
+    @staticmethod
+    def _hub(directed):
+        # 30 spokes into node 0, a chain among them, and 0 -> 31
+        spokes = np.arange(1, 31)
+        return UncertainGraph(32, np.r_[spokes, spokes[:-1], 0], np.r_[np.zeros(30), spokes[1:], 31],
+                              np.linspace(0.2, 0.95, 60), directed=directed)
+
+    @staticmethod
+    def _antiparallel(directed):
+        # both arcs of every pair on a chain and a random set, with their own coins
+        rng = np.random.default_rng(3)
+        one = random_graph(rng, 30, 40, directed=True)
+        fwd = np.r_[one.src, np.arange(29)], np.r_[one.dst, np.arange(1, 30)]
+        keep = ~np.isin(fwd[1] * 30 + fwd[0], fwd[0] * 30 + fwd[1])
+        src, dst = np.r_[fwd[0], fwd[1][keep]], np.r_[fwd[1], fwd[0][keep]]
+        src, dst = np.unique(np.c_[src, dst], axis=0).T
+        return UncertainGraph(30, src, dst, rng.uniform(0.1, 0.9, len(src)), directed=True)
+
+    @staticmethod
+    def _heads_descending(directed):
+        # edge order far from head order: the highest head comes first
+        base = random_graph(np.random.default_rng(4), 40, 100, directed=directed)
+        order = np.argsort(-base.dst, kind="stable")
+        return UncertainGraph(40, base.src[order], base.dst[order], base.prob[order],
+                              directed=directed)
+
+    @staticmethod
+    def _sinks(directed):
+        # nodes 30-35 have in-arcs only
+        base = random_graph(np.random.default_rng(5), 30, 70, directed=directed)
+        tails = np.array([0, 4, 9, 9, 17, 22, 25, 29])
+        heads = np.array([30, 31, 32, 33, 33, 34, 35, 35])
+        return UncertainGraph(36, np.r_[base.src, tails], np.r_[base.dst, heads],
+                              np.r_[base.prob, np.full(8, 0.7)], directed=directed)
+
+    @pytest.mark.parametrize("build,directed", [
+        ("_hub", True), ("_hub", False), ("_antiparallel", True),
+        ("_heads_descending", True), ("_heads_descending", False), ("_sinks", True),
+    ])
+    @pytest.mark.parametrize("c", [1, 64, 130])
+    def test_kernels_on_awkward_arc_layouts(self, build, directed, c):
+        g = getattr(self, build)(directed)
+        present = uniform_batch(c, c, g.m) < g.prob
+        for starts in ((0,), (1, g.n - 1), tuple(range(0, g.n, 7))):
+            want = self._oracle(g, starts, present)
+            state = _merged_state(g, starts)
+            np.testing.assert_array_equal(_reach_counts(state, None, c, seed=c), want)
+            for t in range(g.n):
+                assert _reach_counts(state, t, c, seed=c) == want[t]
+
     @pytest.mark.parametrize("c", [1, 64, 130])
     def test_kernels_without_edges(self, c):
         g = UncertainGraph(5, [], [], [])
@@ -353,6 +403,25 @@ def test_mc_memory_is_bounded_with_more_nodes_than_edges():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+def test_mc_memory_is_bounded_at_large_m():
+    # 300,000 edges: a coin stage as wide as the 64-world flush would hold
+    # 19 MB of rows; the bounded stage holds 8 rows, 2.4 MB
+    n = 50_000
+    offsets = (1, 7, 49, 343, 2401, 16807)
+    src = np.tile(np.arange(n), len(offsets))
+    dst = (src + np.repeat(offsets, n)) % n
+    g = UncertainGraph(n, src, dst, np.full(len(src), 0.9), directed=False)
+    for call in (lambda: reliability_mc(g, 0, n // 2, 64, seed=1),
+                 lambda: reliability_all_from(g, 0, 64, seed=1)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_rss_memory_is_bounded_at_large_z():
@@ -446,6 +515,27 @@ class TestRssBatch:
         monkeypatch.setattr(estimators, "_CHUNK_COINS", 3 * g.m)
         for Z, mc_threshold in ((500, 100), (200, 8), (130, 200)):
             self._check(g, 0, 79, Z, seed=Z, mc_threshold=mc_threshold)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_leaves_start_mid_byte_and_straddle_stage_packs(self, monkeypatch, directed):
+        # an 8-row stage packs every 8 columns of a 64-column flush; leaves
+        # of 1-7 worlds and of up to 199 worlds start inside a byte and run
+        # past the next pack
+        rng = np.random.default_rng(51 + directed)
+        g = random_graph(rng, 60, 180, directed=directed)
+        monkeypatch.setattr(estimators, "_CHUNK_COINS", 3 * g.m)
+        draw, starts = estimators._draw_leaf, []
+
+        def spy(batch, state, z, seed, pi):
+            if len(batch.stage) == 8:
+                starts.append((batch.used, z))
+            return draw(batch, state, z, seed, pi)
+
+        monkeypatch.setattr(estimators, "_draw_leaf", spy)
+        for Z, mc_threshold in ((300, 8), (400, 200)):
+            self._check(g, 0, 59, Z, seed=Z, mc_threshold=mc_threshold)
+        assert any(col % 8 and col // 8 < (col + z - 1) // 8 for col, z in starts)
+        assert any(col % 8 and z > 8 for col, z in starts)
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_terminal_strata(self, directed):
