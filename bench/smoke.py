@@ -1,32 +1,34 @@
 """Smoke run of every benchmark workload: it must run and report its metrics.
 
-For each workload in BENCHMARK.json, runs ``benchmark/run.py`` for a few
-seconds untraced (``--trace 0``) and traced (``--trace 1``).  A run passes
-when it exits 0 and its last stdout line is JSON whose ``metrics`` name
-every end-to-end metric (untraced) or every per-layer metric (traced), so a
-renamed function that the traced run wraps fails here.  The judge's
-``correct`` flag is printed but not checked: a run this short measures
-nothing, and a rare estimate outside the judge's bound is not a smoke
-failure.  From the repository root::
+For each workload in BENCHMARK.json, runs ``benchmark/run.py`` for SECONDS
+seconds at SEED, untraced (``--trace 0``) and traced (``--trace 1``).  A run
+passes when it exits 0 and its last stdout line is JSON whose ``metrics``
+name every metric of its kind: only an untraced run reports the end-to-end
+metrics, and only a traced run the per-layer ones, so a renamed function
+that the traced run wraps fails here.  The judge's ``correct`` flag is
+printed but not checked: a run this short measures nothing, and a rare
+estimate outside the judge's bound is not a smoke failure.  From the
+repository root::
 
-    python3 bench/smoke.py [--seconds 2] [--seed 1]
+    python3 bench/smoke.py
 """
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 2
+SEED = 1
 
 
-def check(workload: str, trace: int, names: list[str], seconds: float, seed: int) -> str | None:
+def check(workload: str, trace: int, names: list[str]) -> str | None:
     """None when the run passes, else what went wrong."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmark" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)],
         capture_output=True, text=True)
     if proc.returncode:
         return f"exit {proc.returncode}\n{proc.stderr[-2000:]}"
@@ -43,18 +45,14 @@ def check(workload: str, trace: int, names: list[str], seconds: float, seed: int
     return None
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seconds", type=float, default=2.0)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = {0: [m["name"] for m in spec["end_to_end"]],
              1: [m["name"] for m in spec["per_layer"]]}
     failed = 0
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
-            error = check(workload, trace, names[trace], args.seconds, args.seed)
+            error = check(workload, trace, names[trace])
             if error:
                 failed += 1
                 print(f"{workload} --trace {trace}: FAILED: {error}", file=sys.stderr)
